@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build test test-short bench bench-json experiments csv verify fmt vet clean leakd
+.PHONY: all build test test-short bench bench-json perfbench experiments csv verify fmt vet clean leakd
 
 all: build test
 
@@ -50,6 +50,16 @@ bench-json:
 	$(GO) run ./cmd/leakload -clients 64 -requests 512 -traces 32 \
 		-concurrency 4 -queue 16 -o BENCH_leakd.json
 	$(GO) run ./cmd/dpa-attack -curve 32,64,128,256 -o BENCH_keyrecovery.json
+
+# The cost-per-verdict benchmark (perfbench/README.md): every workload once,
+# seed 1, 10-second timed phase, end-to-end metrics. Each run exits 1 on a
+# wrong verdict.
+PERFBENCH_WORKLOADS = tvla-gang tvla-masked-scalar cpa-fullkey leakd-durable
+
+perfbench:
+	for w in $(PERFBENCH_WORKLOADS); do \
+		bash perfbench/run.sh --workload $$w --seed 1 --seconds 10 --trace 0 || exit 1; \
+	done
 
 # Regenerate every figure and table of the paper (text report + plots).
 experiments:

@@ -442,6 +442,30 @@ func BenchmarkCPA_Unmasked(b *testing.B) {
 	b.ReportMetric(peak, "max-corr")
 }
 
+// BenchmarkFullKeyCPA times one complete 48-bit round-key CPA per op at the
+// cpa-fullkey workload's shape: 32 unmasked traces of a 25,000-cycle budget,
+// attacked over the full window. Reports how many of the eight sub-key
+// chunks the attack recovered.
+func BenchmarkFullKeyCPA(b *testing.B) {
+	m, err := desprog.New(compiler.PolicyNone)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ts, err := dpa.Collect(m, benchKey, dpa.Config{NumTraces: 32, Seed: 9, MaxCycles: 25_000})
+	if err != nil {
+		b.Fatal(err)
+	}
+	ct := des.Encrypt(benchKey, benchPlain)
+	var res dpa.FullKeyResult
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res = dpa.FullKeyAttack(ts, dpa.StatCPA, benchPlain, ct)
+	}
+	b.StopTimer()
+	res.VerifyAgainst(benchKey)
+	b.ReportMetric(float64(res.Recovered), "chunks")
+}
+
 // BenchmarkDESDecrypt measures the simulated decryption path.
 func BenchmarkDESDecrypt(b *testing.B) {
 	m, err := desprog.NewDecrypt(compiler.PolicySelective)

@@ -37,6 +37,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"sort"
 	"strconv"
 	"strings"
 	"time"
@@ -64,6 +65,9 @@ type boxRecord struct {
 	// Margin is Peak/RunnerUp — how decisively the best guess won (1.0 means
 	// a dead heat, i.e. no signal).
 	Margin float64 `json:"margin"`
+	// Degenerate counts guesses that scored zero because their prediction
+	// never varied over the set (dpa.BoxResult.Degenerate).
+	Degenerate int `json:"degenerate,omitempty"`
 }
 
 // attackRecord is one full-key attack outcome.
@@ -76,6 +80,9 @@ type attackRecord struct {
 	Seed      int64   `json:"seed"`
 	MaxCycles uint64  `json:"max_cycles"`
 	Seconds   float64 `json:"seconds"`
+	// Truncated marks a set whose runs came back with unequal lengths and
+	// were cut to the shortest (dpa.TraceSet.Truncated).
+	Truncated bool `json:"truncated,omitempty"`
 
 	Boxes           []boxRecord `json:"boxes,omitempty"`
 	RecoveredChunks int         `json:"recovered_chunks"`
@@ -102,12 +109,61 @@ func attack(ts *dpa.TraceSet, st dpa.Stat, key, plaintext, ciphertext uint64) (d
 	res.VerifyAgainst(key)
 	rec := attackRecord{
 		Stat: st.String(), Traces: ts.Len(), Seconds: time.Since(start).Seconds(),
-		RecoveredChunks: res.Recovered, KeyOK: res.OK,
+		RecoveredChunks: res.Recovered, KeyOK: res.OK, Truncated: ts.Truncated,
 	}
 	if res.OK {
 		rec.Key = fmt.Sprintf("%016X", res.Key)
 	}
 	return res, rec
+}
+
+// truncationWarning names the original run lengths of a set that Collect cut
+// to its shortest run, or returns "" for an untruncated set. The attack then
+// sees only the common prefix, which may end before the round-1 leak.
+func truncationWarning(ts *dpa.TraceSet) string {
+	if !ts.Truncated {
+		return ""
+	}
+	counts := map[int]int{}
+	for _, l := range ts.OrigLens {
+		counts[l]++
+	}
+	lens := make([]int, 0, len(counts))
+	for l := range counts {
+		lens = append(lens, l)
+	}
+	sort.Ints(lens)
+	parts := make([]string, len(lens))
+	for i, l := range lens {
+		parts[i] = fmt.Sprintf("%d cycles x%d", l, counts[l])
+	}
+	return fmt.Sprintf("warning: traces were truncated to the shortest run (%d cycles); original lengths: %s",
+		lens[0], strings.Join(parts, ", "))
+}
+
+// boxReport formats one S-box's outcome as the per-box output line and its
+// JSON record.
+func boxReport(b dpa.BoxResult, key uint64) (string, boxRecord) {
+	truth := des.SubkeySixBits(key, b.Box)
+	margin := 0.0
+	if b.RunnerUp.Peak > 0 {
+		margin = b.Best.Peak / b.RunnerUp.Peak
+	}
+	mark := " "
+	if b.Best.Guess == truth {
+		mark = "*"
+	}
+	line := fmt.Sprintf("  S%d: guess=%02o truth=%02o %s peak=%-10.4g runner-up=%-10.4g margin=%.2f",
+		b.Box+1, b.Best.Guess, truth, mark, b.Best.Peak, b.RunnerUp.Peak, margin)
+	if b.Degenerate > 0 {
+		line += fmt.Sprintf(" degenerate=%d/64", b.Degenerate)
+	}
+	return line, boxRecord{
+		Box: b.Box, Guess: b.Best.Guess, Truth: truth,
+		Correct: b.Best.Guess == truth,
+		Peak:    b.Best.Peak, RunnerUp: b.RunnerUp.Peak, Margin: margin,
+		Degenerate: b.Degenerate,
+	}
 }
 
 // prefix views the first n traces of a set — exactly the acquisition a
@@ -193,6 +249,9 @@ func main() {
 		fatal(err)
 	}
 	collectSec := time.Since(start).Seconds()
+	if w := truncationWarning(ts); w != "" {
+		fmt.Fprintln(os.Stderr, "dpa-attack:", w)
+	}
 
 	res, rec := attack(ts, st, r.KeyV, r.PlaintextV, ciphertext)
 	rec.Order, rec.Policy, rec.Shuffle = r.OrderV, r.PolicyV.String(), r.ShuffleV
@@ -205,22 +264,9 @@ func main() {
 	fmt.Printf("attack %-4s order=%d policy=%-16s traces=%d max=%d (collected in %.1fs, attacked in %.1fs)\n",
 		rec.Stat, rec.Order, pol, rec.Traces, rec.MaxCycles, collectSec, rec.Seconds)
 	for _, b := range res.Boxes {
-		truth := des.SubkeySixBits(r.KeyV, b.Box)
-		margin := 0.0
-		if b.RunnerUp.Peak > 0 {
-			margin = b.Best.Peak / b.RunnerUp.Peak
-		}
-		mark := " "
-		if b.Best.Guess == truth {
-			mark = "*"
-		}
-		fmt.Printf("  S%d: guess=%02o truth=%02o %s peak=%-10.4g runner-up=%-10.4g margin=%.2f\n",
-			b.Box+1, b.Best.Guess, truth, mark, b.Best.Peak, b.RunnerUp.Peak, margin)
-		rec.Boxes = append(rec.Boxes, boxRecord{
-			Box: b.Box, Guess: b.Best.Guess, Truth: truth,
-			Correct: b.Best.Guess == truth,
-			Peak:    b.Best.Peak, RunnerUp: b.RunnerUp.Peak, Margin: margin,
-		})
+		line, br := boxReport(b, r.KeyV)
+		fmt.Println(line)
+		rec.Boxes = append(rec.Boxes, br)
 	}
 	fmt.Printf("recovered %d/8 sub-key chunks\n", res.Recovered)
 	if res.OK {
@@ -276,6 +322,9 @@ func runCurve(r *cliconf.ResolvedAssess, st dpa.Stat, spec string, ciphertext ui
 		})
 		if err != nil {
 			fatal(err)
+		}
+		if w := truncationWarning(ts); w != "" {
+			fmt.Fprintln(os.Stderr, "dpa-attack:", w)
 		}
 		for _, n := range counts {
 			_, one := attack(prefix(ts, n), st, r.KeyV, r.PlaintextV, ciphertext)

@@ -13,6 +13,9 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"runtime"
+	"sync"
+	"sync/atomic"
 
 	"desmask/internal/des"
 	"desmask/internal/desprog"
@@ -125,6 +128,22 @@ func DifferenceOfMeans(ts *TraceSet, box, bit int, guess uint32) []float64 {
 func DifferenceOfMeansDetail(ts *TraceSet, box, bit int, guess uint32) (dom []float64, n1, n0 int) {
 	n := ts.Window.Len()
 	g1, g0 := leakstat.NewVec(n), leakstat.NewVec(n)
+	n1, n0 = partition(ts, box, bit, guess, g1, g0)
+	dom = make([]float64, n)
+	if n1 == 0 || n0 == 0 {
+		return dom, n1, n0 // degenerate partition carries no signal
+	}
+	for j := range dom {
+		dom[j] = g1.Mean[j] - g0.Mean[j]
+	}
+	return dom, n1, n0
+}
+
+// partition empties g1 and g0, then folds each trace's window into g1 or g0
+// by the predicted output bit of one guess, returning the group sizes.
+func partition(ts *TraceSet, box, bit int, guess uint32, g1, g0 *leakstat.Vec) (n1, n0 int) {
+	g1.Reset()
+	g0.Reset()
 	for i, tr := range ts.Traces {
 		out := des.FirstRoundSBoxOutput(ts.Plaintexts[i], box, guess)
 		seg := tr[ts.Window.Start:ts.Window.End]
@@ -134,15 +153,7 @@ func DifferenceOfMeansDetail(ts *TraceSet, box, bit int, guess uint32) (dom []fl
 			g0.AddTrace(seg)
 		}
 	}
-	n1, n0 = int(g1.N()), int(g0.N())
-	dom = make([]float64, n)
-	if n1 == 0 || n0 == 0 {
-		return dom, n1, n0 // degenerate partition carries no signal
-	}
-	for j := range dom {
-		dom[j] = g1.Mean[j] - g0.Mean[j]
-	}
-	return dom, n1, n0
+	return int(g1.N()), int(g0.N())
 }
 
 // GuessScore is the peak differential magnitude of one sub-key guess.
@@ -174,40 +185,93 @@ func (r BoxResult) Margin() float64 {
 	return r.Best.Peak / r.RunnerUp.Peak
 }
 
+// newBoxResult returns an empty result for box, ready for score.
+func newBoxResult(box, bit int) BoxResult {
+	return BoxResult{Box: box, Bit: bit, Best: GuessScore{Peak: -1}, RunnerUp: GuessScore{Peak: -1}}
+}
+
+// score records one guess's peak, keeping Best and RunnerUp current (ties go
+// to the lower guess).
+func (r *BoxResult) score(guess uint32, peak float64) {
+	r.AllScores[guess] = peak
+	switch {
+	case peak > r.Best.Peak:
+		r.RunnerUp = r.Best
+		r.Best = GuessScore{Guess: guess, Peak: peak}
+	case peak > r.RunnerUp.Peak:
+		r.RunnerUp = GuessScore{Guess: guess, Peak: peak}
+	}
+}
+
+// peakAbs returns max |v[j]|, 0 for an empty slice.
+func peakAbs(v []float64) float64 {
+	peak := 0.0
+	for _, x := range v {
+		if a := math.Abs(x); a > peak {
+			peak = a
+		}
+	}
+	return peak
+}
+
+// attackBoxes runs one attack on each of the eight S-boxes over
+// min(GOMAXPROCS, 8) goroutines. Each goroutine builds its attack function
+// (and so its scratch buffers) with newAttacker, then takes whole boxes: a
+// box's 64 guesses run serially on one goroutine and its result lands in
+// out[box], so the results never depend on scheduling.
+func attackBoxes(newAttacker func() func(box int) BoxResult) [8]BoxResult {
+	var out [8]BoxResult
+	var next atomic.Int32
+	var wg sync.WaitGroup
+	for w := min(runtime.GOMAXPROCS(0), 8); w > 0; w-- {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			attack := newAttacker()
+			for box := int(next.Add(1)) - 1; box < 8; box = int(next.Add(1)) - 1 {
+				out[box] = attack(box)
+			}
+		}()
+	}
+	wg.Wait()
+	return out
+}
+
+// domAttacker returns a function that runs the difference-of-means attack on
+// every 6-bit guess of one S-box, scoring each guess by its peak |DoM|. The
+// two group accumulators are allocated once and reused for every guess.
+func domAttacker(ts *TraceSet, bit int) func(box int) BoxResult {
+	n := ts.Window.Len()
+	g1, g0 := leakstat.NewVec(n), leakstat.NewVec(n)
+	return func(box int) BoxResult {
+		res := newBoxResult(box, bit)
+		for guess := uint32(0); guess < 64; guess++ {
+			peak := 0.0
+			if n1, n0 := partition(ts, box, bit, guess, g1, g0); n1 == 0 || n0 == 0 {
+				res.Degenerate++
+			} else {
+				for j := range g1.Mean {
+					if a := math.Abs(g1.Mean[j] - g0.Mean[j]); a > peak {
+						peak = a
+					}
+				}
+			}
+			res.score(guess, peak)
+		}
+		return res
+	}
+}
+
 // AttackSBox runs the difference-of-means attack on every 6-bit guess for
 // one S-box, scoring each guess by its peak |DoM|.
 func AttackSBox(ts *TraceSet, box, bit int) BoxResult {
-	res := BoxResult{Box: box, Bit: bit, Best: GuessScore{Peak: -1}, RunnerUp: GuessScore{Peak: -1}}
-	for guess := uint32(0); guess < 64; guess++ {
-		dom, n1, n0 := DifferenceOfMeansDetail(ts, box, bit, guess)
-		if n1 == 0 || n0 == 0 {
-			res.Degenerate++
-		}
-		peak := 0.0
-		for _, v := range dom {
-			if a := math.Abs(v); a > peak {
-				peak = a
-			}
-		}
-		res.AllScores[guess] = peak
-		switch {
-		case peak > res.Best.Peak:
-			res.RunnerUp = res.Best
-			res.Best = GuessScore{Guess: guess, Peak: peak}
-		case peak > res.RunnerUp.Peak:
-			res.RunnerUp = GuessScore{Guess: guess, Peak: peak}
-		}
-	}
-	return res
+	return domAttacker(ts, bit)(box)
 }
 
-// AttackAll attacks all eight S-boxes using output bit `bit`.
+// AttackAll attacks all eight S-boxes using output bit `bit`, fanning the
+// boxes out.
 func AttackAll(ts *TraceSet, bit int) [8]BoxResult {
-	var out [8]BoxResult
-	for box := 0; box < 8; box++ {
-		out[box] = AttackSBox(ts, box, bit)
-	}
-	return out
+	return attackBoxes(func() func(int) BoxResult { return domAttacker(ts, bit) })
 }
 
 // Verify compares attack results against the true key, returning how many of

@@ -209,6 +209,16 @@ func (v *Vec) Merge(o *Vec) error {
 	return nil
 }
 
+// Reset empties the accumulator in place, keeping its buffers: the next
+// trace folds exactly as into a fresh NewVec/NewVecOrder of the same shape.
+func (v *Vec) Reset() {
+	v.n, v.inv = 0, 0
+	clear(v.Mean)
+	clear(v.M2)
+	clear(v.M3)
+	clear(v.M4)
+}
+
 // VarianceAt returns the sample variance of sample j.
 func (v *Vec) VarianceAt(j int) float64 {
 	if v.n < 2 {

@@ -199,6 +199,32 @@ func TestVecStreamingMatchesAddTrace(t *testing.T) {
 	}
 }
 
+// TestVecResetMatchesFresh: a used accumulator, once Reset, folds the next
+// traces bit for bit as a fresh one does, at both orders.
+func TestVecResetMatchesFresh(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	for _, order := range []int{1, 2} {
+		used, fresh := NewVecOrder(7, order), NewVecOrder(7, order)
+		for i := 0; i < 9; i++ {
+			used.AddTrace(randomData(rng, 7))
+		}
+		used.Reset()
+		if used.N() != 0 {
+			t.Fatalf("order %d: N=%d after Reset", order, used.N())
+		}
+		for i := 0; i < 13; i++ {
+			tr := randomData(rng, 7)
+			used.AddTrace(tr)
+			fresh.AddTrace(tr)
+		}
+		got, _ := used.MarshalBinary()
+		want, _ := fresh.MarshalBinary()
+		if string(got) != string(want) {
+			t.Fatalf("order %d: reset accumulator diverged from a fresh one", order)
+		}
+	}
+}
+
 // TestVecExactOnConstantTraces: identical traces leave M2 at exactly zero —
 // the property that makes masked-region verdicts exact, not approximate.
 func TestVecExactOnConstantTraces(t *testing.T) {
