@@ -26,8 +26,6 @@ bench:
 #  - predecoded-core throughput: cycles/sec, ns/cycle and allocs/op for
 #    untraced and traced full-DES runs (BENCH_predecode.json)
 #  - sequential vs parallel batch trace acquisition (traces/sec + bit-identity)
-#  - block-compiled engine vs cycle-accurate core on both ISAs: speedup and
-#    bit-identity of ciphertext/stats/registers (BENCH_blockcompile.json)
 #  - compiler optimization ablation (per-policy instruction/cycle/energy
 #    counts for DES with and without -O)
 #  - streaming TVLA acceptance run: 10k-trace fixed-vs-random DES per policy
@@ -42,7 +40,6 @@ bench:
 bench-json:
 	$(GO) run ./cmd/simbench -traces 64 -trials 10 \
 		-o BENCH_parallel_traces.json -core-o BENCH_predecode.json
-	$(GO) run ./cmd/simbench -blocks -trials 20 -blocks-o BENCH_blockcompile.json
 	$(GO) run ./cmd/simbench -gang 16 -traces 128 -max 12000 -workers 1 \
 		-gang-o BENCH_gang.json
 	$(GO) run ./cmd/optbench -o BENCH_compiler_opt.json

@@ -9,10 +9,6 @@
 //     same simulation session, verifying the two trace sets are
 //     bit-identical (BENCH_parallel_traces.json).
 //
-// With -blocks it instead benchmarks the block-compiled engine against the
-// cycle-accurate core on both ISAs, verifying bit-identical ciphertexts and
-// statistics, and writes BENCH_blockcompile.json.
-//
 // With -gang N (N > 1) it instead benchmarks gang-scheduled lockstep
 // assessment against the scalar path on the fixed-vs-random DES TVLA
 // workload for every protection policy, verifying that the gang t-vector is
@@ -22,7 +18,6 @@
 //
 //	simbench [-traces N] [-trials N] [-max N] [-policy none]
 //	         [-o BENCH_parallel_traces.json] [-core-o BENCH_predecode.json]
-//	         [-blocks] [-blocks-o BENCH_blockcompile.json]
 //	         [-gang N] [-gang-o BENCH_gang.json]
 //	         [-cpuprofile FILE] [-memprofile FILE]
 package main
@@ -42,8 +37,6 @@ import (
 	"desmask/internal/compiler"
 	"desmask/internal/desprog"
 	"desmask/internal/dpa"
-	"desmask/internal/energy"
-	"desmask/internal/isa"
 	"desmask/internal/leakstat"
 )
 
@@ -83,27 +76,6 @@ type CoreResult struct {
 	CyclesPerOp uint64  `json:"cycles_per_encryption"`
 	Untraced    CoreRun `json:"untraced"`
 	Traced      CoreRun `json:"traced"`
-}
-
-// BlockISARun is the block-vs-cycle comparison on one ISA.
-type BlockISARun struct {
-	ISA         string  `json:"isa"`
-	CyclesPerOp uint64  `json:"cycles_per_encryption"`
-	Cycle       CoreRun `json:"cycle"`
-	Block       CoreRun `json:"block"`
-	Speedup     float64 `json:"speedup"`
-	// BitIdentical reports that block mode reproduced the cycle-accurate
-	// ciphertext, statistics and register file exactly.
-	BitIdentical bool   `json:"bit_identical"`
-	BlockRuns    uint64 `json:"block_runs"`
-	BlockDeopts  uint64 `json:"block_deopts"`
-}
-
-// BlockResult is the block-compile benchmark record (BENCH_blockcompile.json).
-type BlockResult struct {
-	Policy string        `json:"policy"`
-	Trials int           `json:"trials"`
-	Runs   []BlockISARun `json:"runs"`
 }
 
 // GangPolicyRun is the scalar-vs-gang assessment comparison for one policy.
@@ -146,7 +118,7 @@ func fatal(err error) {
 // worker and reports simulated throughput plus the allocation cost of one
 // encryption. The first run warms the worker pool and trace buffers so the
 // timed loop sees the steady state the predecoded core is optimized for.
-func benchCore(m *desprog.Machine, trials int, capture, blocks bool) (CoreRun, uint64, error) {
+func benchCore(m *desprog.Machine, trials int, capture bool) (CoreRun, uint64, error) {
 	const (
 		key   = 0x133457799BBCDFF1
 		plain = 0x0123456789ABCDEF
@@ -155,7 +127,6 @@ func benchCore(m *desprog.Machine, trials int, capture, blocks bool) (CoreRun, u
 	if err != nil {
 		return CoreRun{}, 0, err
 	}
-	job.Blocks = blocks
 	r := m.Runner()
 	warm := r.Run(job)
 	if warm.Err != nil || !warm.Done {
@@ -181,63 +152,6 @@ func benchCore(m *desprog.Machine, trials int, capture, blocks bool) (CoreRun, u
 		Seconds:      sec,
 	}
 	return run, cycles / uint64(trials), nil
-}
-
-// benchBlocks benchmarks the block-compiled engine against the cycle-accurate
-// core on every block-compilable ISA, verifying that block mode reproduces the
-// cycle-accurate ciphertext, statistics and register file bit-for-bit.
-func benchBlocks(policy compiler.Policy, trials int) (BlockResult, error) {
-	const (
-		key   = 0x133457799BBCDFF1
-		plain = 0x0123456789ABCDEF
-	)
-	res := BlockResult{Policy: policy.String(), Trials: trials}
-	for _, isaName := range []string{"pisa", "rv32"} {
-		target, ok := isa.TargetByName(isaName)
-		if !ok {
-			return res, fmt.Errorf("unknown target %q", isaName)
-		}
-		m, err := desprog.NewFull(compiler.Options{Policy: policy, Target: target}, energy.DefaultConfig())
-		if err != nil {
-			return res, err
-		}
-		cycle, cyclesPerOp, err := benchCore(m, trials, false, false)
-		if err != nil {
-			return res, fmt.Errorf("%s cycle mode: %w", isaName, err)
-		}
-		block, _, err := benchCore(m, trials, false, true)
-		if err != nil {
-			return res, fmt.Errorf("%s block mode: %w", isaName, err)
-		}
-
-		job, err := m.EncryptJob(key, plain, 0, false)
-		if err != nil {
-			return res, err
-		}
-		base := m.Runner().Run(job)
-		job.Blocks = true
-		blk := m.Runner().Run(job)
-		if base.Err != nil || blk.Err != nil {
-			return res, fmt.Errorf("%s identity run: cycle err=%v block err=%v", isaName, base.Err, blk.Err)
-		}
-		identical := base.Stats.Stats == blk.Stats.Stats && base.Regs == blk.Regs &&
-			len(base.Mem[0]) == len(blk.Mem[0])
-		for i := 0; identical && i < len(base.Mem[0]); i++ {
-			identical = base.Mem[0][i] == blk.Mem[0][i]
-		}
-
-		res.Runs = append(res.Runs, BlockISARun{
-			ISA:          isaName,
-			CyclesPerOp:  cyclesPerOp,
-			Cycle:        cycle,
-			Block:        block,
-			Speedup:      block.CyclesPerSec / cycle.CyclesPerSec,
-			BitIdentical: identical,
-			BlockRuns:    m.Runner().BlockRuns(),
-			BlockDeopts:  m.Runner().BlockDeopts(),
-		})
-	}
-	return res, nil
 }
 
 // tBitsHash is an order-sensitive FNV-1a hash over the raw float64 bits of a
@@ -351,8 +265,6 @@ func main() {
 	policyStr := flag.String("policy", "none", "protection policy to benchmark: "+cliconf.PolicyUsage())
 	out := flag.String("o", "BENCH_parallel_traces.json", "batch benchmark output JSON file")
 	coreOut := flag.String("core-o", "BENCH_predecode.json", "core benchmark output JSON file")
-	blocks := flag.Bool("blocks", false, "benchmark the block-compiled engine vs the cycle-accurate core on both ISAs")
-	blocksOut := flag.String("blocks-o", "BENCH_blockcompile.json", "block benchmark output JSON file")
 	gangOut := flag.String("gang-o", "BENCH_gang.json", "gang benchmark output JSON file (used with -gang N)")
 	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memProfile := flag.String("memprofile", "", "write a heap profile to this file")
@@ -414,37 +326,12 @@ func main() {
 		return
 	}
 
-	if *blocks {
-		res, err := benchBlocks(policy, *trials)
-		if err != nil {
-			fatal(err)
-		}
-		fmt.Printf("blocks (policy=%s, %d trials):\n", res.Policy, res.Trials)
-		ok := true
-		for _, r := range res.Runs {
-			fmt.Printf("  %-5s %d cycles/encryption\n", r.ISA, r.CyclesPerOp)
-			fmt.Printf("    cycle: %12.0f cycles/s  %6.2f ns/cycle  %6.1f allocs/op\n",
-				r.Cycle.CyclesPerSec, r.Cycle.NsPerCycle, r.Cycle.AllocsPerOp)
-			fmt.Printf("    block: %12.0f cycles/s  %6.2f ns/cycle  %6.1f allocs/op\n",
-				r.Block.CyclesPerSec, r.Block.NsPerCycle, r.Block.AllocsPerOp)
-			fmt.Printf("    speedup: %.2fx  bit-identical: %v  (block runs %d, deopts %d)\n",
-				r.Speedup, r.BitIdentical, r.BlockRuns, r.BlockDeopts)
-			ok = ok && r.BitIdentical
-		}
-		if !ok {
-			fmt.Fprintln(os.Stderr, "simbench: FAIL: block mode diverged from the cycle-accurate core")
-			os.Exit(1)
-		}
-		writeJSON(*blocksOut, res)
-		return
-	}
-
 	// Part 1: core throughput on the predecoded micro-op pipeline.
-	untraced, cyclesPerOp, err := benchCore(m, *trials, false, false)
+	untraced, cyclesPerOp, err := benchCore(m, *trials, false)
 	if err != nil {
 		fatal(err)
 	}
-	traced, _, err := benchCore(m, *trials, true, false)
+	traced, _, err := benchCore(m, *trials, true)
 	if err != nil {
 		fatal(err)
 	}

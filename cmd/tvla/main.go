@@ -23,13 +23,7 @@
 //	tvla [-kernel des|aes128|tea|sha1] [-policy selective | -all]
 //	     [-vary key|plaintext] [-traces N] [-seed N] [-workers N]
 //	     [-shards N] [-threshold T] [-max N] [-key HEX] [-plaintext HEX]
-//	     [-blocks] [-leakcheck] [-o report.json]
-//
-// -blocks prechecks each population on the block-compiled engine — a cheap
-// functional run confirming the build halts within -max cycles — before the
-// streaming assessment starts. The assessment itself always runs on the
-// cycle-accurate core: its per-cycle energy meter is exactly the observation
-// that block mode excludes.
+//	     [-leakcheck] [-o report.json]
 //
 //	tvla -bench [-traces N] [-baseline-traces N] [-o BENCH_tvla.json]
 package main
@@ -107,34 +101,8 @@ func desSetup(opt compiler.Options, vary string, key, plain uint64, seed int64, 
 	return m, src, win, err
 }
 
-// precheckBlocks runs the first fixed and random job of a population with
-// block mode requested: a fast functional pass that catches a faulting build
-// or a -max budget that truncates the run before the assessment window ends
-// — silent sample loss otherwise — before the streaming assessment spends
-// real time. (Builds that halt within the budget run on the block engine;
-// deliberately truncated runs deopt to the cycle core, which is still one
-// run instead of thousands.)
-func precheckBlocks(src leakstat.Source, win trace.Window, maxCycles uint64) error {
-	for i, fixed := range map[int]bool{0: true, 1: false} {
-		job, err := src.Job(i, fixed)
-		if err != nil {
-			return err
-		}
-		job.Blocks = true
-		res := src.Runner.Run(job)
-		if res.Err != nil {
-			return fmt.Errorf("block precheck (fixed=%v): %w", fixed, res.Err)
-		}
-		if res.Stats.Cycles < uint64(win.End) {
-			return fmt.Errorf("block precheck (fixed=%v): run covers %d cycles but the assessment window ends at %d; raise -max %d",
-				fixed, res.Stats.Cycles, win.End, maxCycles)
-		}
-	}
-	return nil
-}
-
 func assess(kernel string, opt compiler.Options, vary string, key, plain uint64,
-	cfg leakstat.Config, maxCycles uint64, runLeakcheck, blocks bool) (*assessment, error) {
+	cfg leakstat.Config, maxCycles uint64, runLeakcheck bool) (*assessment, error) {
 	var (
 		src leakstat.Source
 		win trace.Window
@@ -196,11 +164,6 @@ func assess(kernel string, opt compiler.Options, vary string, key, plain uint64,
 		}
 		vary = "secret"
 	}
-	if blocks {
-		if err := precheckBlocks(src, win, maxCycles); err != nil {
-			return nil, err
-		}
-	}
 	cfg.Window = win
 	start := time.Now()
 	rep, err := leakstat.Assess(src, cfg)
@@ -239,7 +202,6 @@ func main() {
 	params := cliconf.DefaultAssess()
 	params.AddFlags(flag.CommandLine)
 	all := flag.Bool("all", false, "assess every policy")
-	blocks := flag.Bool("blocks", false, "precheck each population on the block-compiled engine before assessing")
 	runLeakcheck := flag.Bool("leakcheck", false, "also run the dynamic taint check on each build")
 	bench := flag.Bool("bench", false, "benchmark mode: acceptance checks + BENCH_tvla.json")
 	baselineTraces := flag.Int("baseline-traces", 1024, "materialized-baseline collection size (bench mode)")
@@ -267,7 +229,7 @@ func main() {
 	var reports []*assessment
 	for _, pol := range pols {
 		opt.Policy = pol
-		a, err := assess(r.Kernel, opt, r.Vary, r.KeyV, r.PlaintextV, cfg, r.MaxCycles, *runLeakcheck, *blocks)
+		a, err := assess(r.Kernel, opt, r.Vary, r.KeyV, r.PlaintextV, cfg, r.MaxCycles, *runLeakcheck)
 		if err != nil {
 			fatal(err)
 		}

@@ -97,12 +97,8 @@ func New(p *asm.Program, m *mem.Memory) (*CPU, error) {
 	target := p.TargetOrDefault()
 	// The pipelined core implements exactly the five-stage geometry; a target
 	// declaring anything else must not run here, or its declared spec and the
-	// simulated timing would silently disagree (the block-compiled engine in
-	// internal/block derives its precomputed timing from the same spec).
+	// simulated timing would silently disagree.
 	if spec := target.Pipeline(); spec != isa.FiveStage {
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("cpu: target %s: %w", target.Name(), err)
-		}
 		return nil, fmt.Errorf("cpu: target %s declares pipeline %+v, but this core implements only the five-stage geometry %+v",
 			target.Name(), spec, isa.FiveStage)
 	}
@@ -353,9 +349,9 @@ func (c *CPU) Step() error {
 
 // ExecUOp computes the EX-stage result of one micro-op: the ALU output (or
 // memory address), plus branch/jump resolution. It is shared by the pipelined
-// CPU, the RefModel golden model and the block-compiled engine
-// (internal/block), so that co-simulation isolates pipeline-control bugs and
-// block-fused execution can never drift from the cycle-accurate EX semantics.
+// CPU, the RefModel golden model and the gang engine (internal/gang), so that
+// co-simulation isolates pipeline-control bugs and lockstep execution can
+// never drift from the cycle-accurate EX semantics.
 func ExecUOp(u *isa.UOp, a, b uint32) (res, target uint32, taken bool, err error) {
 	switch u.Class {
 	case isa.ClassAdd:

@@ -15,14 +15,13 @@
 // cpu.Step stage for stage (WB, MEM, EX, ID, IF, redirect, commit) so the
 // two cannot drift without a test catching it.
 //
-// Deoptimization contract, mirroring internal/block: lockstep is only valid
-// while every lane's control flow is identical. The first lane to reach EX
-// each cycle is the gang reference; any lane whose branch outcome or jump
-// target diverges from it, or that faults in MEM or EX, is peeled off with a
-// *DeoptError (matching ErrDeopt) and replayed from cycle 0 on the
-// unmodified scalar core by the session layer (internal/sim). A fatal fetch
-// fault — a shared-control condition the gang cannot attribute to one lane —
-// deopts every live lane. An expired cycle budget is not a deopt: lockstep
+// Deoptimization contract: lockstep is only valid while every lane's control
+// flow is identical. The first lane to reach EX each cycle is the gang
+// reference; any lane whose branch outcome or jump target diverges from it,
+// or that faults in MEM or EX, is peeled off with a *DeoptError (matching
+// ErrDeopt) and replayed from cycle 0 on the unmodified scalar core by the
+// session layer (internal/sim). A fatal fetch fault — a shared-control
+// condition the gang cannot attribute to one lane — deopts every live lane. An expired cycle budget is not a deopt: lockstep
 // state is cycle-exact, so lanes still live at expiry hold precisely the
 // scalar core's partial-run state (see Run). Results therefore never depend
 // on the gang engine: a lane either completes (or is exactly truncated) with
@@ -134,9 +133,6 @@ func New(p *asm.Program, cfg energy.Config, width int) (*Engine, error) {
 	}
 	target := p.TargetOrDefault()
 	if spec := target.Pipeline(); spec != isa.FiveStage {
-		if err := spec.Validate(); err != nil {
-			return nil, fmt.Errorf("gang: target %s: %w", target.Name(), err)
-		}
 		return nil, fmt.Errorf("gang: target %s declares pipeline %+v, but lockstep execution implements only the five-stage geometry %+v",
 			target.Name(), spec, isa.FiveStage)
 	}

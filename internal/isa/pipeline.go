@@ -1,21 +1,19 @@
 package isa
 
-import "fmt"
-
 // PipelineSpec describes the pipeline geometry of a target's core as data:
 // the constants that used to live implicitly in internal/cpu's five-stage
 // control logic (branch resolution stage, load-use latency, flush depth) plus
 // the fill/drain latencies that position an instruction's EX cycle within a
-// run. Hoisting them onto the Target makes block-effect precomputation
-// (internal/block) per-target: a block's stall count, redirect penalty and
-// retire timing are derived from this spec, never from hard-coded numbers.
+// run. Declaring the geometry on the Target keeps room for a backend with a
+// different pipeline (a deeper or differently resolved core) without
+// silently simulating it on the wrong timing.
 //
-// The cycle-accurate core in internal/cpu implements exactly one geometry —
-// the classic five-stage in-order IF/ID/EX/MEM/WB machine — and validates at
-// construction that the program's target declares it (FiveStage). A target
-// declaring any other geometry is rejected by the pipelined core and by the
-// block translator, so the two engines can never silently disagree about
-// timing.
+// Both engines — the cycle-accurate core in internal/cpu and the lockstep
+// gang engine in internal/gang — implement exactly one geometry, the classic
+// five-stage in-order IF/ID/EX/MEM/WB machine, and check at construction
+// that the program's target declares it (FiveStage). A target declaring any
+// other geometry is rejected by both, so a declared spec and the simulated
+// timing can never silently disagree.
 type PipelineSpec struct {
 	// Stages is the pipeline depth (5: IF, ID, EX, MEM, WB).
 	Stages int
@@ -53,20 +51,4 @@ var FiveStage = PipelineSpec{
 	FlushSlots:         2,
 	FillLatency:        2,
 	DrainLatency:       2,
-}
-
-// RedirectPenalty returns the EX-to-EX distance between a taken control
-// transfer and its target: the squashed slots plus the transfer's own slot.
-func (s PipelineSpec) RedirectPenalty() int { return s.FlushSlots + 1 }
-
-// Validate rejects specs with non-positive or mutually inconsistent fields.
-func (s PipelineSpec) Validate() error {
-	if s.Stages <= 0 || s.BranchResolveStage < 0 || s.BranchResolveStage >= s.Stages ||
-		s.LoadUseStall < 0 || s.FlushSlots < 0 || s.FillLatency < 0 || s.DrainLatency < 0 {
-		return fmt.Errorf("isa: invalid pipeline spec %+v", s)
-	}
-	if s.FillLatency != s.BranchResolveStage {
-		return fmt.Errorf("isa: pipeline spec %+v: fill latency must equal the branch resolution stage (EX position)", s)
-	}
-	return nil
 }

@@ -98,10 +98,9 @@ type Target interface {
 
 	// Pipeline returns the geometry of this target's core: branch
 	// resolution stage, load-use latency, flush depth, fill/drain
-	// latencies. The cycle-accurate core validates at construction that it
-	// implements this geometry, and the block translator derives its
-	// precomputed stall/flush/retire effects from it (falling back to the
-	// cycle-accurate core for geometries it cannot reproduce).
+	// latencies. The cycle-accurate core and the gang engine check at
+	// construction that it is the five-stage geometry they implement, and
+	// reject the program otherwise.
 	Pipeline() PipelineSpec
 }
 

@@ -290,3 +290,18 @@ func TestRV32BranchOffsetSemantics(t *testing.T) {
 		}
 	}
 }
+
+// TestTargetsDeclareFiveStage pins the current state of the backend registry:
+// every registered target declares the five-stage geometry, which is the one
+// geometry cpu.New and gang.New accept.
+func TestTargetsDeclareFiveStage(t *testing.T) {
+	for _, name := range Targets() {
+		target, ok := TargetByName(name)
+		if !ok {
+			t.Fatalf("registry lists unknown target %q", name)
+		}
+		if spec := target.Pipeline(); spec != FiveStage {
+			t.Errorf("%s: pipeline %+v, want FiveStage", name, spec)
+		}
+	}
+}

@@ -5,7 +5,8 @@ package sim_test
 // shape repeats — its attached probe set, so the only allocations left per
 // encryption are the caller-owned pieces of the Result: the memory
 // read-back (outer slice + words) and, for traced jobs, the trace snapshot
-// (struct + totals + PCs). Block-mode runs carry the same read-back cost.
+// (struct + totals + PCs). Runs with the ignored Job.Blocks flag carry the
+// same read-back cost.
 
 import (
 	"testing"

@@ -1,15 +1,17 @@
 package sim_test
 
-// Session-level tests of block mode (Job.Blocks): for every job the runner
-// may route to the block-compiled engine, the Result must be bit-identical
-// to the cycle-accurate run of the same job — ciphertexts, full cpu.Stats,
-// registers, memory read-back, and identical errors (including the exact
-// *cpu.CycleLimitError) when the engine deopts and the job replays.
+// Session-level tests of the deprecated Job.Blocks flag. The flag once routed
+// unobserved jobs to a block-compiled engine; that engine is gone and the
+// flag is ignored, so for every job a Blocks run must be bit-identical to the
+// plain run of the same job: ciphertexts, full stats with metered energy,
+// registers, memory read-back and errors (down to the exact
+// *cpu.CycleLimitError), alone or in a batch.
 
 import (
 	"errors"
 	"fmt"
 	"math"
+	"reflect"
 	"testing"
 
 	"desmask/internal/compiler"
@@ -45,50 +47,42 @@ func desMachine(t *testing.T, policy compiler.Policy, isaName string) *desprog.M
 	return m
 }
 
-// runBoth runs one job in cycle mode and in block mode on the same runner
-// and demands identical architectural results.
-func runBoth(t *testing.T, m *desprog.Machine, job sim.Job) (cycleRes, blockRes sim.Result) {
+// runBoth runs one job without and with Blocks on the same runner and
+// demands bit-identical results.
+func runBoth(t *testing.T, m *desprog.Machine, job sim.Job) (plainRes, blockRes sim.Result) {
 	t.Helper()
 	r := m.Runner()
 	job.Blocks = false
-	cycleRes = r.Run(job)
+	plainRes = r.Run(job)
 	job.Blocks = true
-	before := r.BlockRuns()
 	blockRes = r.Run(job)
-	if r.BlockRuns() == before && blockRes.Err == nil && blockRes.Done {
-		t.Error("completed Blocks job was not counted as a block run")
-	}
 
-	if (cycleRes.Err == nil) != (blockRes.Err == nil) {
-		t.Fatalf("error divergence: cycle %v, block %v", cycleRes.Err, blockRes.Err)
+	if (plainRes.Err == nil) != (blockRes.Err == nil) {
+		t.Fatalf("error divergence: plain %v, blocks %v", plainRes.Err, blockRes.Err)
 	}
-	if cycleRes.Err != nil && cycleRes.Err.Error() != blockRes.Err.Error() {
-		t.Fatalf("errors differ: cycle %q, block %q", cycleRes.Err, blockRes.Err)
+	if plainRes.Err != nil && plainRes.Err.Error() != blockRes.Err.Error() {
+		t.Fatalf("errors differ: plain %q, blocks %q", plainRes.Err, blockRes.Err)
 	}
-	if cycleRes.Done != blockRes.Done {
-		t.Fatalf("done divergence: cycle %v, block %v", cycleRes.Done, blockRes.Done)
+	if plainRes.Done != blockRes.Done {
+		t.Fatalf("done divergence: plain %v, blocks %v", plainRes.Done, blockRes.Done)
 	}
-	if cycleRes.Stats.Stats != blockRes.Stats.Stats {
-		t.Errorf("cpu stats diverge:\n cycle %+v\n block %+v", cycleRes.Stats.Stats, blockRes.Stats.Stats)
+	if plainRes.Stats != blockRes.Stats ||
+		math.Float64bits(plainRes.Stats.Energy.Total) != math.Float64bits(blockRes.Stats.Energy.Total) ||
+		math.Float64bits(plainRes.Stats.PeakPJ) != math.Float64bits(blockRes.Stats.PeakPJ) {
+		t.Errorf("stats diverge:\n plain  %+v\n blocks %+v", plainRes.Stats, blockRes.Stats)
 	}
-	if cycleRes.Regs != blockRes.Regs {
+	if plainRes.Regs != blockRes.Regs {
 		t.Error("register files diverge")
 	}
-	if len(cycleRes.Mem) != len(blockRes.Mem) {
-		t.Fatalf("mem read-back count: %d vs %d", len(cycleRes.Mem), len(blockRes.Mem))
+	if !reflect.DeepEqual(plainRes.Mem, blockRes.Mem) {
+		t.Error("memory read-back diverges")
 	}
-	for i := range cycleRes.Mem {
-		if fmt.Sprint(cycleRes.Mem[i]) != fmt.Sprint(blockRes.Mem[i]) {
-			t.Errorf("mem read %d diverges", i)
-		}
-	}
-	return cycleRes, blockRes
+	return plainRes, blockRes
 }
 
-// TestBlocksDESEquivalence runs the DES known-answer encryption in both
-// modes under every policy on both ISAs: identical ciphertext, stats,
-// registers and memory, with block mode reporting a static-energy floor
-// below the metered total.
+// TestBlocksDESEquivalence runs the DES known-answer encryption with and
+// without Blocks under every policy on both ISAs: identical ciphertext,
+// metered stats, registers and memory, matching the golden manifest on PISA.
 func TestBlocksDESEquivalence(t *testing.T) {
 	for _, isaName := range []string{"pisa", "rv32"} {
 		for _, policy := range compiler.Policies() {
@@ -98,33 +92,26 @@ func TestBlocksDESEquivalence(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
-				cycleRes, blockRes := runBoth(t, m, job)
+				_, blockRes := runBoth(t, m, job)
 				if !blockRes.Done {
 					t.Fatal("encryption did not complete")
 				}
 				if got := packBits(blockRes.Mem[0]); got != desCipher {
-					t.Fatalf("block-mode ciphertext %#016x, want %#016x", got, desCipher)
+					t.Fatalf("Blocks ciphertext %#016x, want %#016x", got, desCipher)
 				}
-				metered := cycleRes.Stats.Energy.Total
-				static := blockRes.Stats.StaticPJ
-				if static <= 0 || static > metered {
-					t.Errorf("static floor %.1f pJ outside (0, metered %.1f]", static, metered)
+				if blockRes.Stats.Energy.Total <= 0 || blockRes.Stats.PeakPJ <= 0 {
+					t.Error("Blocks run reported no metered energy")
 				}
-				if blockRes.Stats.Energy.Total != 0 || blockRes.Stats.PeakPJ != 0 {
-					t.Error("block mode reported metered energy without a meter")
-				}
-				// The manifest locks the cycle-accurate core; block mode must
-				// agree with it through the cycle path it was compared against.
 				if entry, ok := goldenEntry(t, "des", policy.String()); ok && isaName == "pisa" {
 					if blockRes.Stats.Cycles != entry.Cycles ||
 						blockRes.Stats.Insts != entry.Insts ||
 						blockRes.Stats.SecureInst != entry.SecureInst {
-						t.Errorf("block stats diverge from golden manifest: got %d/%d/%d, want %d/%d/%d",
+						t.Errorf("Blocks stats diverge from golden manifest: got %d/%d/%d, want %d/%d/%d",
 							blockRes.Stats.Cycles, blockRes.Stats.Insts, blockRes.Stats.SecureInst,
 							entry.Cycles, entry.Insts, entry.SecureInst)
 					}
 					if out := fmt.Sprintf("%016x", packBits(blockRes.Mem[0])); out != entry.Output {
-						t.Errorf("block output %s, want golden %s", out, entry.Output)
+						t.Errorf("Blocks output %s, want golden %s", out, entry.Output)
 					}
 				}
 			})
@@ -132,10 +119,9 @@ func TestBlocksDESEquivalence(t *testing.T) {
 	}
 }
 
-// TestBlocksCycleLimit pins deopt-and-replay for budgets that expire
-// mid-run: the block engine cannot complete, the job replays on the
-// cycle-accurate core, and the partial Result (or the RequireHalt error) is
-// identical in both modes, down to the exact *cpu.CycleLimitError.
+// TestBlocksCycleLimit pins budgets that expire mid-run: the partial Result
+// (or the RequireHalt error) is identical with and without Blocks, down to
+// the exact *cpu.CycleLimitError.
 func TestBlocksCycleLimit(t *testing.T) {
 	m := desMachine(t, compiler.PolicyNone, "pisa")
 	job, err := m.EncryptJob(0x133457799BBCDFF1, 0x0123456789ABCDEF, 2000, false)
@@ -143,33 +129,28 @@ func TestBlocksCycleLimit(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	r := m.Runner()
-	deoptsBefore := r.BlockDeopts()
-	cycleRes, blockRes := runBoth(t, m, job)
-	if cycleRes.Done || blockRes.Done {
+	plainRes, blockRes := runBoth(t, m, job)
+	if plainRes.Done || blockRes.Done {
 		t.Fatal("2000-cycle budget unexpectedly completed DES")
-	}
-	if r.BlockDeopts() == deoptsBefore {
-		t.Error("mid-run budget expiry was not counted as a deopt")
 	}
 	if blockRes.Stats.Cycles != 2000 {
 		t.Errorf("partial run simulated %d cycles, want exactly the 2000 budget", blockRes.Stats.Cycles)
 	}
 
 	job.RequireHalt = true
-	cycleRes, blockRes = runBoth(t, m, job)
-	var cl, bl *cpu.CycleLimitError
-	if !errors.As(cycleRes.Err, &cl) || !errors.As(blockRes.Err, &bl) {
-		t.Fatalf("RequireHalt errors: cycle %v, block %v; want cycle-limit errors", cycleRes.Err, blockRes.Err)
+	plainRes, blockRes = runBoth(t, m, job)
+	var pl, bl *cpu.CycleLimitError
+	if !errors.As(plainRes.Err, &pl) || !errors.As(blockRes.Err, &bl) {
+		t.Fatalf("RequireHalt errors: plain %v, blocks %v; want cycle-limit errors", plainRes.Err, blockRes.Err)
 	}
-	if cl.Limit != bl.Limit {
-		t.Errorf("cycle-limit errors disagree on the limit: %d vs %d", cl.Limit, bl.Limit)
+	if pl.Limit != bl.Limit {
+		t.Errorf("cycle-limit errors disagree on the limit: %d vs %d", pl.Limit, bl.Limit)
 	}
 }
 
-// TestBlocksObservedJobsFallBack pins the observation-only invariant: jobs
-// that capture traces or attach probes never enter block mode, and their
-// traces remain bit-identical to the golden manifest.
+// TestBlocksObservedJobsFallBack pins observed Blocks jobs: a traced job
+// still captures the golden trace, and a probed job's probe still sees every
+// cycle.
 func TestBlocksObservedJobsFallBack(t *testing.T) {
 	m, err := desprog.New(compiler.PolicySelective)
 	if err != nil {
@@ -183,13 +164,9 @@ func TestBlocksObservedJobsFallBack(t *testing.T) {
 			t.Fatal(err)
 		}
 		job.Blocks = true
-		before := r.BlockRuns()
 		res := r.Run(job)
 		if res.Err != nil {
 			t.Fatal(res.Err)
-		}
-		if r.BlockRuns() != before {
-			t.Error("traced job entered block mode")
 		}
 		if res.Trace == nil {
 			t.Fatal("traced job captured no trace")
@@ -212,13 +189,9 @@ func TestBlocksObservedJobsFallBack(t *testing.T) {
 		job.Blocks = true
 		var cycles uint64
 		job.Probe = sim.SharedProbes(cpu.ProbeFunc(func(cpu.CycleInfo) { cycles++ }))
-		before := r.BlockRuns()
 		res := r.Run(job)
 		if res.Err != nil {
 			t.Fatal(res.Err)
-		}
-		if r.BlockRuns() != before {
-			t.Error("probed job entered block mode")
 		}
 		if cycles != res.Stats.Cycles {
 			t.Errorf("probe observed %d cycles, run reported %d", cycles, res.Stats.Cycles)
@@ -226,44 +199,50 @@ func TestBlocksObservedJobsFallBack(t *testing.T) {
 	})
 }
 
-// TestBlocksBatch fans a block-mode batch across workers and checks every
-// result against the cycle-mode batch of the same jobs.
+// TestBlocksBatch fans a Blocks batch across workers, scalar and
+// gang-scheduled, and checks every result and the gang grouping against the
+// batch of the same jobs without Blocks.
 func TestBlocksBatch(t *testing.T) {
 	m := desMachine(t, compiler.PolicyAllSecure, "rv32")
-	plaintexts := []uint64{0x0123456789ABCDEF, 0xFFFFFFFFFFFFFFFF, 0, 0x0123456789ABCDEF ^ 1}
-	jobs := make([]sim.Job, len(plaintexts))
-	for i, pt := range plaintexts {
-		job, err := m.EncryptJob(0x133457799BBCDFF1, pt, 0, false)
+	plaintexts := []uint64{0x0123456789ABCDEF, 0xFFFFFFFFFFFFFFFF, 0, 0x0123456789ABCDEF ^ 1, 0x5555AAAA5555AAAA}
+	jobs := func(blocks bool) []sim.Job {
+		out := make([]sim.Job, len(plaintexts))
+		for i, pt := range plaintexts {
+			job, err := m.EncryptJob(0x133457799BBCDFF1, pt, 0, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			job.Blocks = blocks
+			out[i] = job
+		}
+		return out
+	}
+	r := m.Runner()
+	batch := func(blocks bool, opts sim.Options) ([]sim.Result, uint64, uint64) {
+		runs, deopts := r.GangRuns(), r.GangDeopts()
+		res, err := r.RunBatch(jobs(blocks), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		jobs[i] = job
+		return res, r.GangRuns() - runs, r.GangDeopts() - deopts
 	}
-	r := m.Runner()
-	base, err := r.RunBatch(jobs, sim.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range jobs {
-		jobs[i].Blocks = true
-	}
-	before := r.BlockRuns()
-	blk, err := r.RunBatch(jobs, sim.Options{Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := r.BlockRuns() - before; got != uint64(len(jobs)) {
-		t.Errorf("%d of %d batch jobs ran in block mode", got, len(jobs))
-	}
-	for i := range base {
-		if base[i].Stats.Stats != blk[i].Stats.Stats {
-			t.Errorf("job %d stats diverge: %+v vs %+v", i, base[i].Stats.Stats, blk[i].Stats.Stats)
+
+	for _, opts := range []sim.Options{{Workers: 2}, {Workers: 1, GangWidth: 4}} {
+		base, baseRuns, baseDeopts := batch(false, opts)
+		blk, blkRuns, blkDeopts := batch(true, opts)
+		if opts.GangWidth > 1 && baseRuns == 0 {
+			t.Fatal("no lane ran in lockstep despite GangWidth > 1")
 		}
-		if packBits(base[i].Mem[0]) != packBits(blk[i].Mem[0]) {
-			t.Errorf("job %d ciphertext diverges", i)
+		if blkRuns != baseRuns || blkDeopts != baseDeopts {
+			t.Errorf("%+v: Blocks gang lanes %d (deopts %d), want %d (%d)", opts, blkRuns, blkDeopts, baseRuns, baseDeopts)
 		}
-		if !blk[i].Done {
-			t.Errorf("job %d did not complete in block mode", i)
+		if !reflect.DeepEqual(blk, base) {
+			t.Errorf("%+v: Blocks changed batch results", opts)
+		}
+		for i := range blk {
+			if !blk[i].Done {
+				t.Errorf("%+v: job %d did not complete", opts, i)
+			}
 		}
 	}
 }

@@ -20,17 +20,16 @@ import (
 // Exactness contract: a lane either completes in lockstep bit-identical to a
 // scalar run (registers, memory, stats, per-cycle energy observation), or is
 // peeled by the engine's deopt contract and transparently replayed on the
-// unmodified cycle-accurate core. Like block mode, gang-mode results carry no
+// unmodified cycle-accurate core. Gang-mode results carry no
 // Stats.Energy/PeakPJ accumulation (replayed lanes are normalized to match),
 // so a result never reveals which path produced it.
 
-// gangEligible reports whether a job may join a gang: it must not request
-// block mode (a different engine), and must attach no extra probes — probes
-// observe per-stage events of a single core, which a gang does not replay.
-// Traced jobs are eligible: the engine records the exact trace.Recorder
-// observation per lane.
+// gangEligible reports whether a job may join a gang: it must attach no extra
+// probes — probes observe per-stage events of a single core, which a gang
+// does not replay. Traced jobs are eligible: the engine records the exact
+// trace.Recorder observation per lane.
 func (r *Runner) gangEligible(job *Job) bool {
-	return !job.Blocks && job.Probe.isZero()
+	return job.Probe.isZero()
 }
 
 // gangEngine returns the worker's gang engine with capacity for at least n
@@ -94,8 +93,8 @@ func (r *Runner) replaySampled(w *worker, job Job, start, end uint64, buf []floa
 // values; bufs may be nil for no sampling). Results are returned in job
 // order and are bit-identical to scalar runs — lanes the engine cannot
 // complete exactly are replayed on the cycle-accurate core with an
-// equivalent sampling probe. Jobs must be gang-shaped: no Blocks, no Trace,
-// no ProbeSpec (serve those through Run/RunBatch instead).
+// equivalent sampling probe. Jobs must be gang-shaped: no Trace, no
+// ProbeSpec (serve those through Run/RunBatch instead).
 //
 // This is the assessment hot path: leakstat feeds fixed-vs-random trace
 // populations through it shard by shard, reusing the sample buffers across
@@ -301,8 +300,8 @@ func (r *Runner) gangUnits(jobs []Job, par []int, width int) [][]int {
 }
 
 // runUnit executes one scheduling unit on a worker: a singleton runs on the
-// scalar (or block) path exactly as a gang-free batch would run it; a group
-// runs as a lockstep gang with per-lane deopt replay.
+// scalar path exactly as a gang-free batch would run it; a group runs as a
+// lockstep gang with per-lane deopt replay.
 func (r *Runner) runUnit(w *worker, jobs []Job, unit []int, results []Result) {
 	if len(unit) == 1 {
 		i := unit[0]

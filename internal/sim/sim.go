@@ -32,7 +32,6 @@ import (
 	"sync/atomic"
 
 	"desmask/internal/asm"
-	"desmask/internal/block"
 	"desmask/internal/cpu"
 	"desmask/internal/energy"
 	"desmask/internal/gang"
@@ -65,16 +64,11 @@ type Read struct {
 type Stats struct {
 	cpu.Stats
 	// Energy is the run's accumulated energy, total and per component (pJ).
-	// Zero for block-mode runs, which attach no meter.
+	// Zero in gang-mode batch results (see Options.GangWidth).
 	Energy energy.CycleEnergy
-	// PeakPJ is the largest single-cycle energy of the run. Zero for
-	// block-mode runs.
+	// PeakPJ is the largest single-cycle energy of the run. Zero in
+	// gang-mode batch results.
 	PeakPJ float64
-	// StaticPJ is the data-independent energy floor of a block-mode run —
-	// the per-block precomputed statics plus clock energy, a strict lower
-	// bound on what the meter would report (see energy.StaticUOpPJ). Zero
-	// for cycle-mode runs, whose exact total is in Energy.
-	StaticPJ float64
 }
 
 // AvgPJPerCycle returns the mean per-cycle energy.
@@ -138,8 +132,7 @@ func PerRunMeterProbes(fn func(meter *energy.Probe) []cpu.Probe) ProbeSpec {
 func (s ProbeSpec) IsShared() bool { return len(s.shared) > 0 }
 
 // isZero reports whether the spec attaches nothing — the condition under
-// which a job needs no per-stage pipeline events and is eligible for the
-// block-compiled engine.
+// which a job needs no per-stage pipeline events and may join a gang.
 func (s ProbeSpec) isZero() bool {
 	return len(s.shared) == 0 && s.perRun == nil && s.perMeter == nil
 }
@@ -172,15 +165,11 @@ type Job struct {
 	// matching cpu.ErrCycleLimit) instead of the default Done=false partial
 	// run, for callers that consider an unfinished program a failure.
 	RequireHalt bool
-	// Blocks requests the block-compiled engine (internal/block) for this
-	// job. The request is honoured only when the job observes no pipeline
-	// events — no trace capture, no probes — and the program's target is
-	// block compilable; otherwise, and whenever the engine deoptimizes (a
-	// fault, a cycle budget expiring mid-run), the job runs on the
-	// cycle-accurate core exactly as if Blocks were false. Either way the
-	// Result is bit-identical to a cycle-accurate run, except that
-	// Stats.Energy/PeakPJ are zero in block mode (no meter is attached) and
-	// Stats.StaticPJ carries the data-independent energy floor instead.
+	// Blocks is ignored: it has no effect on any Result or on batch
+	// routing.
+	//
+	// Deprecated: the block-compiled engine it selected has been removed.
+	// The field remains only because the perfbench module still assigns it.
 	Blocks bool
 	// Probe declares the job's extra probes; see ProbeSpec. Probes are
 	// attached after the runner's own energy meter and trace recorder.
@@ -247,8 +236,8 @@ type Options struct {
 	// GangWidth lanes sharing one fetch/decode/control computation per cycle
 	// (internal/gang), with per-lane deopt replay on the cycle-accurate core.
 	// Results are bit-identical to scalar execution for any width and worker
-	// count, except that — like block mode — gang-mode results carry no
-	// Stats.Energy/PeakPJ accumulation. <= 1 disables gangs.
+	// count, except that gang-mode results carry no Stats.Energy/PeakPJ
+	// accumulation. <= 1 disables gangs.
 	GangWidth int
 }
 
@@ -297,11 +286,6 @@ type Runner struct {
 	// cycles counts every simulated cycle the session has executed, for
 	// service observability (leakd's /metrics).
 	cycles atomic.Uint64
-	// blockRuns and blockDeopts count jobs completed by the block-compiled
-	// engine and jobs that requested it but deoptimized onto the
-	// cycle-accurate core, for observability and the deopt-contract tests.
-	blockRuns   atomic.Uint64
-	blockDeopts atomic.Uint64
 	// gangRuns and gangDeopts count lanes completed in lockstep by the gang
 	// engine and lanes peeled off and replayed on the cycle-accurate core.
 	gangRuns   atomic.Uint64
@@ -324,14 +308,6 @@ func (r *Runner) Config() energy.Config { return r.cfg }
 // session since construction, across all runs and batches.
 func (r *Runner) CyclesSimulated() uint64 { return r.cycles.Load() }
 
-// BlockRuns returns the number of jobs completed by the block-compiled
-// engine since construction.
-func (r *Runner) BlockRuns() uint64 { return r.blockRuns.Load() }
-
-// BlockDeopts returns the number of jobs that requested block mode but were
-// replayed on the cycle-accurate core after a deoptimization.
-func (r *Runner) BlockDeopts() uint64 { return r.blockDeopts.Load() }
-
 // GangRuns returns the number of lanes completed in lockstep by the gang
 // engine since construction.
 func (r *Runner) GangRuns() uint64 { return r.gangRuns.Load() }
@@ -351,15 +327,12 @@ const (
 
 // worker bundles the per-worker reusable simulator state: the core, its
 // energy meter, a trace recorder reading from that meter, and (created on
-// first use) the block-compiled engine with its own memory.
+// first use) the gang engine.
 type worker struct {
 	c        *cpu.CPU
 	meter    *energy.Probe
 	rec      trace.Recorder
 	attached uint8
-
-	blocks       *block.Engine
-	blocksBroken bool // engine construction failed; don't retry per job
 
 	gang       *gang.Engine // lockstep engine, built/widened on first gang use
 	gangBroken bool         // construction failed; don't retry per group
@@ -406,74 +379,9 @@ func (r *Runner) reserveHint(budget uint64) int {
 	return hint
 }
 
-// blockEligible reports whether a job may run on the block-compiled engine:
-// it must ask for it, observe no pipeline events (no trace, no probes), and
-// the program's target must declare a block-compilable pipeline geometry.
-func (r *Runner) blockEligible(job *Job) bool {
-	return job.Blocks && !job.Trace && job.Probe.isZero() &&
-		isa.BlockCompilable(r.prog.TargetOrDefault())
-}
-
-// runBlocksOn attempts one job on the worker's block engine. ok=false means
-// the engine deoptimized (or could not be built) and the caller must replay
-// the job on the cycle-accurate core; nothing observable happened.
-func (r *Runner) runBlocksOn(w *worker, job Job) (Result, bool) {
-	if w.blocks == nil {
-		if w.blocksBroken {
-			return Result{}, false
-		}
-		e, err := block.New(r.prog, mem.New(), &r.cfg)
-		if err != nil {
-			w.blocksBroken = true
-			return Result{}, false
-		}
-		w.blocks = e
-	}
-	var res Result
-	e := w.blocks
-	if err := e.Reset(); err != nil {
-		res.Err = err
-		return res, true
-	}
-	for _, wr := range job.Writes {
-		if err := e.Mem().StoreWord(wr.Addr, wr.Val); err != nil {
-			res.Err = err
-			return res, true
-		}
-	}
-	if runErr := e.Run(r.budget(job)); runErr != nil {
-		// Every non-nil return is a deopt: faults and mid-run budget expiry
-		// are replayed on the cycle-accurate core, which reproduces the
-		// exact error (or partial result) the caller would have seen.
-		r.blockDeopts.Add(1)
-		return Result{}, false
-	}
-	r.blockRuns.Add(1)
-	res.Done = true
-	res.Stats = Stats{Stats: e.Stats(), StaticPJ: e.StaticPJ()}
-	r.cycles.Add(res.Stats.Cycles)
-	for reg := isa.Reg(0); reg < isa.NumRegs; reg++ {
-		res.Regs[reg] = e.Reg(reg)
-	}
-	for _, rd := range job.Reads {
-		words, err := e.Mem().ReadWords(rd.Addr, rd.Words)
-		if err != nil {
-			res.Err = err
-			return res, true
-		}
-		res.Mem = append(res.Mem, words)
-	}
-	return res, true
-}
-
 // runOn executes one job on a worker. The worker is reset to power-on state
 // first, so results are independent of whatever the worker ran before.
 func (r *Runner) runOn(w *worker, job Job) Result {
-	if r.blockEligible(&job) {
-		if res, ok := r.runBlocksOn(w, job); ok {
-			return res
-		}
-	}
 	var res Result
 	if err := w.c.Reset(); err != nil {
 		res.Err = err
