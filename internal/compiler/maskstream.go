@@ -35,33 +35,3 @@ func (r *MaskStream) Perm(n int) []uint32 {
 	}
 	return p
 }
-
-// MaskPoke is one runtime-support word a harness pokes before an execution,
-// addressed as (global symbol, word offset).
-type MaskPoke struct {
-	Sym  string
-	Word int
-	Val  uint32
-}
-
-// RuntimePokes draws the per-execution runtime state of one masked/shuffled
-// run from the stream: the scrub word, the full fresh-mask pool, and a
-// random iteration permutation. Harnesses resolve each Sym through the
-// program symbol table and write the words in order; a masked program's
-// final pool cursor should then be read back from MaskCursorSym to assert
-// the pool did not overflow.
-func (mrt *MaskRuntime) RuntimePokes(rng *MaskStream) []MaskPoke {
-	var pokes []MaskPoke
-	if mrt.PoolWords > 0 {
-		pokes = append(pokes, MaskPoke{Sym: MaskScrubSym, Val: rng.Next32()})
-		for i := 0; i < mrt.PoolWords; i++ {
-			pokes = append(pokes, MaskPoke{Sym: MaskPoolSym, Word: i, Val: rng.Next32()})
-		}
-	}
-	if mrt.ShuffleLen > 0 {
-		for i, v := range rng.Perm(mrt.ShuffleLen) {
-			pokes = append(pokes, MaskPoke{Sym: ShuffleSym, Word: i, Val: v})
-		}
-	}
-	return pokes
-}

@@ -94,7 +94,8 @@ func TestAllPoliciesProduceSameCiphertext(t *testing.T) {
 
 func TestBitSpreadGatherRoundTrip(t *testing.T) {
 	for _, v := range []uint64{0, 1, 0xdeadbeefcafef00d, ^uint64(0), 1 << 63} {
-		if got := gatherBits(spreadBits(v)); got != v {
+		bits := spreadBits(v)
+		if got := gatherBits(bits[:]); got != v {
 			t.Errorf("round trip %#x -> %#x", v, got)
 		}
 	}

@@ -16,16 +16,14 @@ import "desmask/internal/des"
 
 // centeredSquareM2 returns, per sample of the window, the M2 of the
 // preprocessed samples y = (x - mean)^2 — the sample half of the order-2
-// Pearson denominator. It depends on the traces only, so the attack runs it
-// once per trace set. Known defect, kept so CPA2 values stay unchanged until
-// it is fixed on its own: the y-mean fold steps by a fixed 1/m, not
-// Welford's 1/k, so yM2 is not exactly the sum of squared deviations.
+// Pearson denominator, folded with Welford's update. It depends on the
+// traces only, so the attack runs it once per trace set.
 func centeredSquareM2(ts *TraceSet, mean []float64) []float64 {
 	n := len(mean)
 	yMean := make([]float64, n)
 	yM2 := make([]float64, n)
-	inv := 1 / float64(len(ts.Traces))
-	for _, tr := range ts.Traces {
+	for k, tr := range ts.Traces {
+		inv := 1 / float64(k+1)
 		seg := tr[ts.Window.Start:ts.Window.End]
 		for j, x := range seg {
 			d := x - mean[j]

@@ -143,3 +143,33 @@ func TestStatNamesAndChunks(t *testing.T) {
 		}
 	}
 }
+
+// TestCenteredSquareM2TwoPass: the streaming M2 of y = (x - mean)^2 equals
+// the two-pass sum of squared deviations of y about its own mean.
+func TestCenteredSquareM2TwoPass(t *testing.T) {
+	ts, _ := varianceLeakSet(t, 37)
+	n := ts.Window.Len()
+	mean := make([]float64, n)
+	for _, tr := range ts.Traces {
+		for j := range mean {
+			mean[j] += tr[j] / float64(len(ts.Traces))
+		}
+	}
+	got := centeredSquareM2(ts, mean)
+	for j := 0; j < n; j++ {
+		ys := make([]float64, len(ts.Traces))
+		yMean := 0.0
+		for i, tr := range ts.Traces {
+			d := tr[j] - mean[j]
+			ys[i] = d * d
+			yMean += ys[i] / float64(len(ys))
+		}
+		want := 0.0
+		for _, y := range ys {
+			want += (y - yMean) * (y - yMean)
+		}
+		if math.Abs(got[j]-want) > 1e-9*want {
+			t.Errorf("sample %d: yM2 %.12g, two-pass %.12g", j, got[j], want)
+		}
+	}
+}

@@ -75,8 +75,8 @@ func refCorrelationTrace2(ts *TraceSet, box int, guess uint32) []float64 {
 	yMean := make([]float64, n)
 	yM2 := make([]float64, n)
 	cov := make([]float64, n)
-	inv := 1 / float64(m)
 	for i, tr := range ts.Traces {
+		inv := 1 / float64(i+1)
 		seg := tr[ts.Window.Start:ts.Window.End]
 		hi := h[i] - hAcc.Mean
 		for j, x := range seg {

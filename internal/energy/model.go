@@ -46,11 +46,6 @@ type CycleEnergy struct {
 
 // Add accumulates o into e.
 func (e *CycleEnergy) Add(o CycleEnergy) {
-	e.AddFrom(&o)
-}
-
-// AddFrom accumulates *o into e without copying the component array.
-func (e *CycleEnergy) AddFrom(o *CycleEnergy) {
 	e.Total += o.Total
 	for i := range e.By {
 		e.By[i] += o.By[i]

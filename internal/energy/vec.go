@@ -45,12 +45,12 @@ type laneRails struct {
 	last                                      float64
 }
 
-// VecMeter meters N lockstepped lanes with the scalar meter's numerics: for
-// every lane, each committed cycle's total and per-component energy are
-// bit-identical to what an energy.Probe attached to a scalar core running
-// that lane's data would report, as long as the gang engine reports the same
-// events in the same stage order (WB, MEM, EX, ID, IF — the order cpu.Step
-// fires probes).
+// VecMeter is the rail model of both engines: it meters N lockstepped lanes
+// for the gang, and one lane for the scalar core's Probe. For every lane,
+// each committed cycle's total and per-component energy are bit-identical to
+// what the reference Model reports when driven with that lane's events, as
+// long as they arrive in the same stage order (WB, MEM, EX, ID, IF — the
+// order cpu.Step fires probes).
 //
 // The work is split the same way the core is: charges determined purely by
 // control (clock, fetch, decode, register file ports, memory array) are
@@ -81,8 +81,6 @@ type VecMeter struct {
 	// stage the scalar core processes), so LaneCycle adds it last.
 	shCompFetch float64
 	prefix      float64
-
-	cycles uint64
 }
 
 // NewVecMeter returns a vector meter for up to width lanes under cfg.
@@ -96,9 +94,6 @@ func NewVecMeter(cfg Config, width int) *VecMeter {
 // Width returns the lane capacity.
 func (v *VecMeter) Width() int { return v.width }
 
-// Cycles returns the number of cycles begun since Reset.
-func (v *VecMeter) Cycles() uint64 { return v.cycles }
-
 // Reset prepares n lanes (n <= Width) for a fresh run: every rail history
 // and accumulator cleared, bit-identical to a new meter.
 func (v *VecMeter) Reset(n int) {
@@ -110,7 +105,7 @@ func (v *VecMeter) Reset(n int) {
 		v.lanes[i] = laneRails{}
 	}
 	v.fetchPrev = 0
-	v.cycles = 0
+	v.shClock, v.shFetch, v.shDecode, v.shRegfile, v.shMemarray = 0, 0, 0, 0, 0
 }
 
 // BeginCycle opens a cycle's shared accounting and charges the clock tree.
@@ -118,7 +113,6 @@ func (v *VecMeter) BeginCycle() {
 	v.shClock = v.cfg.Params.ClockPJ
 	v.shFetch, v.shDecode, v.shRegfile, v.shMemarray = 0, 0, 0, 0
 	v.shCompFetch = 0
-	v.cycles++
 }
 
 // Fetch reports the shared instruction fetch of the cycle's encoded word.
@@ -190,7 +184,7 @@ func vecRail(prev *uint32, value uint32, secure, precharge, gating bool, linePJ 
 
 // LaneCycle meters one lane's cycle and returns its total energy, storing it
 // for LastPJ. Events must already carry the lane's data values; charges are
-// applied in the scalar meter's stage and component order.
+// applied in the reference Model's stage and component order.
 func (v *VecMeter) LaneCycle(lane int, ev *LaneEvents) float64 {
 	lr := &v.lanes[lane]
 	p := &v.cfg.Params

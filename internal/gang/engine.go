@@ -9,9 +9,9 @@
 //
 // The engine reuses the cycle-accurate core's own building blocks rather
 // than reimplementing them: cpu.ExecUOp for EX semantics, cpu.LoadUseHazard
-// and cpu.ForwardOperands for pipeline geometry, and a vector energy meter
-// (energy.VecMeter) whose per-lane, per-cycle totals are bit-identical to an
-// energy.Probe on the scalar core. The control flow in step mirrors
+// and cpu.ForwardOperands for pipeline geometry, and the rail model the
+// scalar core's energy.Probe runs at width 1 (energy.VecMeter), so per-lane,
+// per-cycle totals are bit-identical to a scalar run. The control flow in step mirrors
 // cpu.Step stage for stage (WB, MEM, EX, ID, IF, redirect, commit) so the
 // two cannot drift without a test catching it.
 //

@@ -5,7 +5,10 @@ package leakstat
 //
 //	go test -bench Assess -benchtime 3x ./internal/leakstat
 //
-// and compare ns/op between the Scalar and Gang variants.
+// and compare ns/op between the Scalar and Gang variants. The
+// boolean-mask/order2/scalar case is the scalar metered path at the shape of
+// the cost-per-verdict benchmark's tvla-masked-scalar workload: per-trace
+// mask-pool job building, the scalar energy meter and the order-2 fold.
 
 import (
 	"fmt"
@@ -15,7 +18,7 @@ import (
 	"desmask/internal/desprog"
 )
 
-func benchAssess(b *testing.B, m *desprog.Machine, traces, gangW int, maxCycles uint64) {
+func benchAssess(b *testing.B, m *desprog.Machine, traces, gangW, order int, maxCycles uint64) {
 	b.Helper()
 	win, err := DESMaskedWindow(m, testKey, testPlain, maxCycles)
 	if err != nil {
@@ -28,6 +31,7 @@ func benchAssess(b *testing.B, m *desprog.Machine, traces, gangW int, maxCycles 
 		Shards:    2,
 		Workers:   1,
 		Gang:      gangW,
+		Order:     order,
 		Window:    win,
 	}
 	b.ResetTimer()
@@ -56,8 +60,15 @@ func BenchmarkAssessDES(b *testing.B) {
 				name = fmt.Sprintf("gang%d", gangW)
 			}
 			b.Run(policy.String()+"/"+name, func(b *testing.B) {
-				benchAssess(b, m, traces, gangW, maxCycles)
+				benchAssess(b, m, traces, gangW, 1, maxCycles)
 			})
 		}
 	}
+	m, err := desprog.New(compiler.PolicyBooleanMask)
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Run("boolean-mask/order2/scalar", func(b *testing.B) {
+		benchAssess(b, m, 96, 0, 2, maxCycles)
+	})
 }
