@@ -222,7 +222,7 @@ func (a *Assess) AddFlags(fs *flag.FlagSet) {
 	fs.Int64Var(&a.Seed, "seed", a.Seed, "seed for group assignment and random inputs")
 	fs.IntVar(&a.Workers, "workers", a.Workers, "worker pool size (0 = GOMAXPROCS)")
 	fs.IntVar(&a.Shards, "shards", a.Shards, "fixed shard partition (0 = default 32)")
-	fs.IntVar(&a.Gang, "gang", a.Gang, "lockstep gang width (<= 1 = scalar execution; verdict is identical either way)")
+	fs.IntVar(&a.Gang, "gang", a.Gang, "lockstep gang width (<= 1 = width-1 runs; verdict is identical at every width)")
 	fs.Float64Var(&a.Threshold, "threshold", a.Threshold, "|t| decision threshold (0 = 4.5)")
 	fs.Uint64Var(&a.MaxCycles, "max", a.MaxCycles, "cycle budget per trace (0 = full run; window is clamped to it)")
 	fs.StringVar(&a.Key, "key", a.Key, "fixed DES key (hex)")
@@ -441,7 +441,8 @@ type Batch struct {
 	Workers int `json:"workers"`
 	// MaxCycles is the per-job cycle budget (0 = runner default).
 	MaxCycles uint64 `json:"max_cycles"`
-	// Gang is the lockstep gang width for batch execution (<= 1 = scalar).
+	// Gang is the lockstep gang width for batch execution (<= 1 = width-1
+	// runs with the energy probe attached).
 	Gang int `json:"gang,omitempty"`
 }
 
@@ -452,7 +453,7 @@ func (b *Batch) AddFlags(fs *flag.FlagSet) {
 	fs.IntVar(&b.Trials, "trials", b.Trials, "repetitions per configuration")
 	fs.IntVar(&b.Workers, "workers", b.Workers, "worker pool size (0 = GOMAXPROCS)")
 	fs.Uint64Var(&b.MaxCycles, "max", b.MaxCycles, "cycle budget per job (0 = runner default)")
-	fs.IntVar(&b.Gang, "gang", b.Gang, "lockstep gang width (<= 1 = scalar execution)")
+	fs.IntVar(&b.Gang, "gang", b.Gang, "lockstep gang width (<= 1 = width-1 runs with per-run energy totals)")
 }
 
 // Validate bounds-checks the batch parameters.

@@ -8,8 +8,10 @@ import (
 
 	"desmask/internal/cpu"
 	"desmask/internal/energy"
+	"desmask/internal/isa"
 	"desmask/internal/mem"
 	"desmask/internal/minic"
+	"desmask/internal/trace"
 )
 
 // randomProgram builds a random but terminating MiniC program: a pool of
@@ -83,6 +85,121 @@ func randomProgram(rng *rand.Rand, stmts int) string {
 	}
 	b.WriteString("\tout[5] = buf[0];\n\tout[6] = buf[3];\n\tout[7] = buf[7];\n}\n")
 	return b.String()
+}
+
+// FuzzEngineWidths runs each generated program four ways and demands they
+// agree: on cpu.CPU (the engine at width 1) metered by an attached
+// energy.Probe, in a lockstep gang of width N metering inline, on the
+// cpu.RefModel golden model, and on the MiniC interpreter. Outputs must
+// match everywhere; Stats and every per-cycle energy and EX PC of each gang
+// lane must be bit-identical to its width-1 run. The fuzz input picks the
+// program, the gang width, the protection policy, the ISA and the energy
+// configuration; the seed corpus is testdata/fuzz/FuzzEngineWidths.
+func FuzzEngineWidths(f *testing.F) {
+	f.Fuzz(func(t *testing.T, seed int64, stmts, width, policy, config uint8) {
+		rng := rand.New(rand.NewSource(seed))
+		src := randomProgram(rng, 1+int(stmts%16))
+		n := 1 + int(width%4)
+		secrets := make([][]uint32, n)
+		for l := range secrets {
+			secrets[l] = []uint32{rng.Uint32(), rng.Uint32(), rng.Uint32(), rng.Uint32()}
+		}
+		pol := Policies()[int(policy)%len(Policies())]
+		target := isa.PISA
+		if config&8 != 0 {
+			target = isa.RV32
+		}
+		res, err := CompileWithOptions(src, Options{Policy: pol, Target: target})
+		if err != nil {
+			t.Fatalf("compile(%v, %s): %v\n%s", pol, target.Name(), err, src)
+		}
+		prog := res.Program
+		cfg := energy.DefaultConfig()
+		cfg.DualRailPrecharge = config&1 == 0
+		cfg.ClockGating = config&2 == 0
+		cfg.InterWireCoupling = config&4 != 0
+		keyAddr := prog.Symbols[GlobalLabel("key")]
+		outAddr := prog.Symbols[GlobalLabel("out")]
+		const budget = 2_000_000
+
+		g, err := cpu.NewEngine(prog, cfg, n)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := g.Reset(n); err != nil {
+			t.Fatal(err)
+		}
+		g.EnableTrace(0)
+		for l, secret := range secrets {
+			for i, v := range secret {
+				if err := g.Lane(l).Mem.StoreWord(keyAddr+uint32(4*i), v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := g.Run(budget); err != nil {
+			t.Fatalf("gang of %d: %v\n%s", n, err, src)
+		}
+
+		for l, secret := range secrets {
+			want := runInterp(t, src, secret)
+			ref, err := cpu.NewRef(prog, mem.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			c, err := cpu.New(prog, mem.New())
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, v := range secret {
+				if err := ref.Mem().StoreWord(keyAddr+uint32(4*i), v); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Mem().StoreWord(keyAddr+uint32(4*i), v); err != nil {
+					t.Fatal(err)
+				}
+			}
+			meter := energy.NewProbeFor(cfg, target)
+			rec := &trace.Recorder{Meter: meter}
+			c.Attach(meter)
+			c.Attach(rec)
+			if err := c.Run(budget); err != nil {
+				t.Fatalf("width 1: %v\n%s", err, src)
+			}
+			if err := ref.Run(budget); err != nil {
+				t.Fatalf("golden model: %v\n%s", err, src)
+			}
+			outs := map[string][]uint32{}
+			for name, m := range map[string]*mem.Memory{"width 1": c.Mem(), "golden model": ref.Mem(), "gang": g.Lane(l).Mem} {
+				if outs[name], err = m.ReadWords(outAddr, 8); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for name, got := range outs {
+				for i := range want {
+					if got[i] != want[i] {
+						t.Fatalf("lane %d: %s out[%d]=%d, interpreter says %d\n%s", l, name, i, got[i], want[i], src)
+					}
+				}
+			}
+			if err := g.LaneErr(l); err != nil {
+				t.Fatalf("lane %d left the gang: %v\n%s", l, err, src)
+			}
+			if cs, gs := c.Stats(), g.Stats(); cs != gs {
+				t.Fatalf("lane %d stats: width 1 %+v, gang %+v\n%s", l, cs, gs, src)
+			}
+			wt, gt := &rec.T, g.LaneTrace(l)
+			if wt.Len() != gt.Len() {
+				t.Fatalf("lane %d trace length: width 1 %d, gang %d", l, wt.Len(), gt.Len())
+			}
+			for i := range wt.Totals {
+				if wt.Totals[i] != gt.Totals[i] || wt.PCs[i] != gt.PCs[i] {
+					t.Fatalf("lane %d cycle %d: width 1 (%v, %#x), gang (%v, %#x)\n%s",
+						l, i, wt.Totals[i], wt.PCs[i], gt.Totals[i], gt.PCs[i], src)
+				}
+			}
+		}
+	})
 }
 
 // runFuzz compiles and runs one program, returning the out[] array.

@@ -132,7 +132,7 @@ main:	la   $t1, v
 		halt
 	`)
 	run(t, c)
-	w, _ := c.Mem().LoadWord(c.prog.Symbols["v"])
+	w, _ := c.Mem().LoadWord(c.e.prog.Symbols["v"])
 	if w != 42 {
 		t.Errorf("v = %d, want 42", w)
 	}
@@ -153,7 +153,7 @@ main:	la   $t2, a
 		halt
 	`)
 	run(t, c)
-	w, _ := c.Mem().LoadWord(c.prog.Symbols["b"])
+	w, _ := c.Mem().LoadWord(c.e.prog.Symbols["b"])
 	if w != 7 {
 		t.Errorf("b = %d, want 7", w)
 	}
@@ -363,7 +363,7 @@ main:	li   $t0, 1
 	c.Attach(rec)
 	run(t, c)
 	for i := 0; i < 3; i++ {
-		pc := c.prog.TextBase + uint32(4*i)
+		pc := c.e.prog.TextBase + uint32(4*i)
 		if !rec.seen[pc] {
 			t.Errorf("pc %#x never reported in EX", pc)
 		}

@@ -1,7 +1,5 @@
-// Masking invariants of the secure ISA, checked through the energy probe.
-// This file lives in the external test package because the energy meter
-// imports cpu (probes observe the core, not the other way around), so the
-// internal test package cannot import it back.
+// Masking invariants of the secure ISA, checked through the energy probe
+// attached to the core's public API.
 package cpu_test
 
 import (

@@ -14,8 +14,8 @@ import (
 // data-independent for a fixed program path and therefore shareable across
 // instances executing in lockstep.
 //
-// The pipelined CPU embeds one Lane; the gang engine (internal/gang) steps N
-// of them through a single shared control computation per cycle.
+// The Engine steps N of them through a single shared control computation
+// per cycle; the CPU is an Engine with one.
 type Lane struct {
 	// Regs is the architectural register file.
 	Regs [isa.NumRegs]uint32
@@ -53,25 +53,22 @@ func (l *Lane) Reset(p *asm.Program) error {
 	return l.Init(p)
 }
 
-// LoadUseHazard reports whether the EX-stage occupant eu forces the ID-stage
+// loadUseHazard reports whether the EX-stage occupant eu forces the ID-stage
 // occupant u to stall one cycle: eu is a load whose destination feeds one of
 // u's register operands, and the loaded value is only available after MEM.
-// Shared by the pipelined core and the gang engine so the stall geometry can
-// never drift between them.
-func LoadUseHazard(eu, u *isa.UOp) bool {
+func loadUseHazard(eu, u *isa.UOp) bool {
 	return eu.Load && eu.Dest != isa.Zero &&
 		(eu.Dest == u.SrcA || (u.BReg && eu.Dest == u.SrcB))
 }
 
-// ForwardOperands resolves the EX-stage operand values of u against the
+// forwardOperands resolves the EX-stage operand values of u against the
 // EX/MEM occupant (exm, producing exmOut) and the MEM/WB occupant (mwb,
 // producing mwbVal); a nil occupant is a bubble. MEM/WB forwards first so
 // the younger EX/MEM result can override it; EX/MEM never forwards a load
 // (load-use pairs are separated by the ID stall). Predecoded operand routing
 // makes this uniform: A forwards when SrcA is a real register, B only when
-// the micro-op reads B from the register file. Shared by the pipelined core
-// and the gang engine.
-func ForwardOperands(u *isa.UOp, a, b uint32, exm *isa.UOp, exmOut uint32, mwb *isa.UOp, mwbVal uint32) (uint32, uint32) {
+// the micro-op reads B from the register file.
+func forwardOperands(u *isa.UOp, a, b uint32, exm *isa.UOp, exmOut uint32, mwb *isa.UOp, mwbVal uint32) (uint32, uint32) {
 	if mwb != nil {
 		if d := mwb.Dest; d != isa.Zero {
 			if d == u.SrcA {

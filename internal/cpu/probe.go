@@ -2,135 +2,65 @@ package cpu
 
 import "desmask/internal/isa"
 
-// CycleInfo describes one committed clock cycle. U points at the micro-op
-// that occupied EX this cycle, or is nil for a bubble (stall or flush slot).
-type CycleInfo struct {
-	Cycle uint64
-	U     *isa.UOp
-}
-
-// FetchEvent fires when IF drives an instruction word onto the fetch bus.
-type FetchEvent struct {
-	Cycle uint64
-	PC    uint32
-	Word  uint32
-}
-
-// IssueEvent fires when ID decodes a micro-op and reads the register file.
-// A and B are the operand values as read in ID, before forwarding.
-type IssueEvent struct {
-	Cycle uint64
-	U     *isa.UOp
-	A, B  uint32
-}
-
-// ExecEvent fires when EX evaluates a micro-op. A and B are the operand
-// values after forwarding — the values the datapath actually switches on.
-// Because a control redirect squashes only the ID and IF stages, every
-// micro-op that reaches EX also retires: ExecEvents correspond one-to-one
-// with architectural execution.
-type ExecEvent struct {
-	Cycle  uint64
-	U      *isa.UOp
-	A, B   uint32
-	Result uint32
-	Taken  bool
-	Target uint32
-}
-
-// MemEvent fires when MEM performs a data-memory access. Data is the loaded
-// value for loads and the stored value for stores.
-type MemEvent struct {
-	Cycle uint64
-	U     *isa.UOp
-	Addr  uint32
-	Data  uint32
-}
-
-// WritebackEvent fires when WB retires a micro-op. Value is the writeback
-// bus value (driven even when the micro-op has no destination register).
-type WritebackEvent struct {
-	Cycle uint64
-	U     *isa.UOp
-	Value uint32
-}
-
-// Probe observes the pipeline. Every probe receives OnCycle once per
-// committed cycle; probes that additionally implement one of the stage
-// observer interfaces below receive those events as the stages fire.
-//
-// Probes are observation-only: they must not mutate architectural state
-// (registers, memory, PC) or influence simulation outcomes. The CPU hands
-// probes pointers into its internal micro-op table for efficiency; treat
-// them as read-only. Probes fire synchronously in attachment order.
-type Probe interface {
-	OnCycle(CycleInfo)
-}
-
-// ProbeFunc adapts a function to Probe.
-type ProbeFunc func(CycleInfo)
-
-// OnCycle implements Probe.
-func (f ProbeFunc) OnCycle(c CycleInfo) { f(c) }
-
-// FetchObserver receives IF-stage events.
-type FetchObserver interface {
-	OnFetch(FetchEvent)
-}
-
-// IssueObserver receives ID-stage events.
-type IssueObserver interface {
-	OnIssue(IssueEvent)
-}
-
-// ExecObserver receives EX-stage events.
-type ExecObserver interface {
-	OnExec(ExecEvent)
-}
-
-// MemObserver receives MEM-stage events.
-type MemObserver interface {
-	OnMem(MemEvent)
-}
-
-// WritebackObserver receives WB-stage events.
-type WritebackObserver interface {
-	OnWriteback(WritebackEvent)
-}
+// The stage-event types and observer interfaces live in package isa, beside
+// PipelineSpec, so that observers (energy, trace) need not import the core.
+// These aliases keep the cpu spellings.
+type (
+	CycleInfo         = isa.CycleInfo
+	FetchEvent        = isa.FetchEvent
+	IssueEvent        = isa.IssueEvent
+	ExecEvent         = isa.ExecEvent
+	MemEvent          = isa.MemEvent
+	WritebackEvent    = isa.WritebackEvent
+	Probe             = isa.Probe
+	ProbeFunc         = isa.ProbeFunc
+	FetchObserver     = isa.FetchObserver
+	IssueObserver     = isa.IssueObserver
+	ExecObserver      = isa.ExecObserver
+	MemObserver       = isa.MemObserver
+	WritebackObserver = isa.WritebackObserver
+)
 
 // Attach registers a probe. The probe's stage interfaces are discovered once
 // here by type assertion, so the per-cycle loop dispatches through dense
-// slices with no dynamic checks. Probes fire in attachment order; attach the
-// energy meter first if later probes read it within the same cycle.
-// A nil probe is ignored.
-func (c *CPU) Attach(p Probe) {
+// slices with no dynamic checks. Probes fire in attachment order and only in
+// width-1 runs (Reset(1)); attach the energy meter first if later probes
+// read it within the same cycle. A nil probe is ignored.
+func (e *Engine) Attach(p Probe) {
 	if p == nil {
 		return
 	}
-	c.probes = append(c.probes, p)
+	e.probes = append(e.probes, p)
 	if o, ok := p.(FetchObserver); ok {
-		c.fetchObs = append(c.fetchObs, o)
+		e.fetchObs = append(e.fetchObs, o)
 	}
 	if o, ok := p.(IssueObserver); ok {
-		c.issueObs = append(c.issueObs, o)
+		e.issueObs = append(e.issueObs, o)
 	}
 	if o, ok := p.(ExecObserver); ok {
-		c.execObs = append(c.execObs, o)
+		e.execObs = append(e.execObs, o)
 	}
 	if o, ok := p.(MemObserver); ok {
-		c.memObs = append(c.memObs, o)
+		e.memObs = append(e.memObs, o)
 	}
 	if o, ok := p.(WritebackObserver); ok {
-		c.wbObs = append(c.wbObs, o)
+		e.wbObs = append(e.wbObs, o)
 	}
 }
 
 // ClearProbes detaches all probes.
-func (c *CPU) ClearProbes() {
-	c.probes = c.probes[:0]
-	c.fetchObs = c.fetchObs[:0]
-	c.issueObs = c.issueObs[:0]
-	c.execObs = c.execObs[:0]
-	c.memObs = c.memObs[:0]
-	c.wbObs = c.wbObs[:0]
+func (e *Engine) ClearProbes() {
+	e.probes = e.probes[:0]
+	e.fetchObs = e.fetchObs[:0]
+	e.issueObs = e.issueObs[:0]
+	e.execObs = e.execObs[:0]
+	e.memObs = e.memObs[:0]
+	e.wbObs = e.wbObs[:0]
 }
+
+// Attach registers a probe on the core; see Engine.Attach. An energy.Probe
+// attached first meters every cycle from the stage events.
+func (c *CPU) Attach(p Probe) { c.e.Attach(p) }
+
+// ClearProbes detaches all probes.
+func (c *CPU) ClearProbes() { c.e.ClearProbes() }

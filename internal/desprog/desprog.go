@@ -511,17 +511,21 @@ func (m *Machine) Trace(key, plaintext uint64) (*trace.Trace, uint64, error) {
 // TraceContext is Trace under a cancellable context: a context that dies
 // before the run starts skips the simulation entirely and returns the
 // context's error, so deadline-bound callers (the leakd window probe) never
-// burn a worker on a run whose request has already expired.
+// burn a worker on a run whose request has already expired. The run needs
+// no energy totals, so it records its trace inline (RunGangSampled) rather
+// than through an attached energy probe; the trace is the same either way.
 func (m *Machine) TraceContext(ctx context.Context, key, plaintext uint64) (*trace.Trace, uint64, error) {
 	job, err := m.EncryptJob(key, plaintext, 0, true)
 	if err != nil {
 		return nil, 0, err
 	}
-	results, err := m.Runner().RunBatchContext(ctx, []sim.Job{job}, sim.Options{Workers: 1})
-	if err != nil {
+	if err := ctx.Err(); err != nil {
 		return nil, 0, err
 	}
-	res := results[0]
+	res := m.Runner().RunGangSampled([]sim.Job{job}, 0, 0, nil)[0]
+	if res.Err != nil {
+		return nil, 0, res.Err
+	}
 	if !res.Done {
 		return nil, 0, fmt.Errorf("desprog: encryption exceeded %d cycles", uint64(MaxCycles))
 	}

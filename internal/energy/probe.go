@@ -1,11 +1,8 @@
 package energy
 
-import (
-	"desmask/internal/cpu"
-	"desmask/internal/isa"
-)
+import "desmask/internal/isa"
 
-// Probe is the energy meter: a cpu.Probe that meters the pipeline's stage
+// Probe is the energy meter: an isa.Probe that meters the pipeline's stage
 // events on a width-1 VecMeter, the gang's rail arithmetic, and accumulates
 // per-cycle and whole-run totals. Control-only charges go through the
 // meter's shared methods as events arrive; WB, MEM and EX data fill one
@@ -94,29 +91,29 @@ func (p *Probe) begin() {
 	}
 }
 
-// OnFetch implements cpu.FetchObserver.
-func (p *Probe) OnFetch(e cpu.FetchEvent) {
+// OnFetch implements isa.FetchObserver.
+func (p *Probe) OnFetch(e isa.FetchEvent) {
 	p.begin()
 	p.vm.Fetch(e.Word)
 }
 
-// OnIssue implements cpu.IssueObserver.
-func (p *Probe) OnIssue(e cpu.IssueEvent) {
+// OnIssue implements isa.IssueObserver.
+func (p *Probe) OnIssue(e isa.IssueEvent) {
 	p.begin()
 	p.vm.Decode()
 	p.vm.RegRead(int(e.U.NSrc))
 }
 
-// OnExec implements cpu.ExecObserver.
-func (p *Probe) OnExec(e cpu.ExecEvent) {
+// OnExec implements isa.ExecObserver.
+func (p *Probe) OnExec(e isa.ExecEvent) {
 	ev := &p.ev
 	ev.EX, ev.EXSecure, ev.EXXor = true, e.U.Secure, e.U.XorUnit
 	ev.EXScale = p.scale[e.U.Class]
 	ev.A, ev.B, ev.R = e.A, e.B, e.Result
 }
 
-// OnMem implements cpu.MemObserver.
-func (p *Probe) OnMem(e cpu.MemEvent) {
+// OnMem implements isa.MemObserver.
+func (p *Probe) OnMem(e isa.MemEvent) {
 	p.begin()
 	p.vm.MemArray()
 	ev := &p.ev
@@ -124,8 +121,8 @@ func (p *Probe) OnMem(e cpu.MemEvent) {
 	ev.MemAddr, ev.MemData = e.Addr, e.Data
 }
 
-// OnWriteback implements cpu.WritebackObserver.
-func (p *Probe) OnWriteback(e cpu.WritebackEvent) {
+// OnWriteback implements isa.WritebackObserver.
+func (p *Probe) OnWriteback(e isa.WritebackEvent) {
 	p.ev.WB, p.ev.WBSecure, p.ev.WBVal = true, e.U.Secure, e.Value
 	if e.U.Dest != isa.Zero {
 		p.begin()
@@ -133,9 +130,9 @@ func (p *Probe) OnWriteback(e cpu.WritebackEvent) {
 	}
 }
 
-// OnCycle implements cpu.Probe: it meters the committed cycle and adds its
+// OnCycle implements isa.Probe: it meters the committed cycle and adds its
 // component partials straight into the run total.
-func (p *Probe) OnCycle(cpu.CycleInfo) {
+func (p *Probe) OnCycle(isa.CycleInfo) {
 	p.begin()
 	v := &p.vm
 	v.EndShared()

@@ -5,7 +5,7 @@ import "math/bits"
 // LaneEvents describes the data-dependent datapath events of one pipeline
 // cycle for the lanes of a gang. The control flags (which stages are active,
 // the secure bits, the ALU route and scale) are identical across lockstepped
-// lanes and are filled once per cycle by the gang engine; the data fields
+// lanes and are filled once per cycle by the pipeline engine; the data fields
 // (operand, result, address and writeback values) are rewritten per lane
 // before each VecMeter.LaneCycle call.
 type LaneEvents struct {
@@ -45,12 +45,12 @@ type laneRails struct {
 	last                                      float64
 }
 
-// VecMeter is the rail model of both engines: it meters N lockstepped lanes
-// for the gang, and one lane for the scalar core's Probe. For every lane,
+// VecMeter is the one rail model: it meters N lockstepped lanes inline for
+// the pipeline engine, and one lane for the event-driven Probe. For every lane,
 // each committed cycle's total and per-component energy are bit-identical to
 // what the reference Model reports when driven with that lane's events, as
 // long as they arrive in the same stage order (WB, MEM, EX, ID, IF — the
-// order cpu.Step fires probes).
+// order the pipeline fires its stage events).
 //
 // The work is split the same way the core is: charges determined purely by
 // control (clock, fetch, decode, register file ports, memory array) are
@@ -65,7 +65,14 @@ type laneRails struct {
 // LaneCycleQuiet advances rail history without any floating-point work, for
 // cycles whose energy no consumer observes; the next metered cycle is still
 // exact because transition energy depends only on the previous rail values.
+//
+// A meter is written every cycle by the one worker that owns it. The
+// leading and trailing pads keep its hot fields, and lanePad keeps its lane
+// slice, off any 64-byte cache line another allocation (another worker's
+// meter or engine) can share: without them two workers' meters can false-
+// share a line and a single-lane run slows by ~14%.
 type VecMeter struct {
+	_     [64]byte
 	cfg   Config
 	width int
 	n     int
@@ -81,14 +88,20 @@ type VecMeter struct {
 	// stage the scalar core processes), so LaneCycle adds it last.
 	shCompFetch float64
 	prefix      float64
+	_           [64]byte
 }
+
+// lanePad is the number of unused laneRails allocated on each side of a
+// meter's lanes; one laneRails is wider than a cache line.
+const lanePad = 1
 
 // NewVecMeter returns a vector meter for up to width lanes under cfg.
 func NewVecMeter(cfg Config, width int) *VecMeter {
 	if width < 1 {
 		width = 1
 	}
-	return &VecMeter{cfg: cfg, width: width, lanes: make([]laneRails, width)}
+	lanes := make([]laneRails, width+2*lanePad)[lanePad : lanePad+width]
+	return &VecMeter{cfg: cfg, width: width, lanes: lanes}
 }
 
 // Width returns the lane capacity.

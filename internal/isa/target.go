@@ -98,9 +98,8 @@ type Target interface {
 
 	// Pipeline returns the geometry of this target's core: branch
 	// resolution stage, load-use latency, flush depth, fill/drain
-	// latencies. The cycle-accurate core and the gang engine check at
-	// construction that it is the five-stage geometry they implement, and
-	// reject the program otherwise.
+	// latencies. The pipelined core checks at construction that it is the
+	// five-stage geometry it implements, and rejects the program otherwise.
 	Pipeline() PipelineSpec
 }
 

@@ -293,7 +293,7 @@ func TestRV32BranchOffsetSemantics(t *testing.T) {
 
 // TestTargetsDeclareFiveStage pins the current state of the backend registry:
 // every registered target declares the five-stage geometry, which is the one
-// geometry cpu.New and gang.New accept.
+// geometry cpu.New and cpu.NewEngine accept.
 func TestTargetsDeclareFiveStage(t *testing.T) {
 	for _, name := range Targets() {
 		target, ok := TargetByName(name)

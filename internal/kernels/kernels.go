@@ -159,21 +159,21 @@ func (m *Machine) Trace(secret, public []uint32) ([]uint32, *trace.Trace, error)
 // TraceContext is Trace under a cancellable context: a context that dies
 // before the run starts skips the simulation and returns the context's
 // error, so deadline-bound callers never burn a worker on an expired
-// request.
+// request. Like desprog's, the run records its trace inline.
 func (m *Machine) TraceContext(ctx context.Context, secret, public []uint32) ([]uint32, *trace.Trace, error) {
 	job, err := m.Job(secret, public, true)
 	if err != nil {
 		return nil, nil, err
 	}
-	results, err := m.Runner().RunBatchContext(ctx, []sim.Job{job}, sim.Options{Workers: 1})
+	if err := ctx.Err(); err != nil {
+		return nil, nil, err
+	}
+	res := m.Runner().RunGangSampled([]sim.Job{job}, 0, 0, nil)[0]
+	out, _, err := m.output(res)
 	if err != nil {
 		return nil, nil, err
 	}
-	out, _, err := m.output(results[0])
-	if err != nil {
-		return nil, nil, err
-	}
-	return out, results[0].Trace, nil
+	return out, res.Trace, nil
 }
 
 // TVLAInputs returns the kernel's canonical fixed TVLA population inputs —

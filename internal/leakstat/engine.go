@@ -4,8 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"desmask/internal/cpu"
-	"desmask/internal/energy"
 	"desmask/internal/sim"
 	"desmask/internal/trace"
 )
@@ -36,13 +34,13 @@ type Config struct {
 	Shards int
 	// Workers sizes the shard worker pool; <= 0 uses GOMAXPROCS.
 	Workers int
-	// Gang > 1 runs each shard's traces through the gang-scheduled lockstep
-	// engine in gangs of up to Gang lanes (sim.Options.GangWidth semantics):
-	// one shared control computation per cycle, per-lane energy sampling,
-	// and transparent scalar replay for any lane that diverges. The shard's
+	// Gang is the lane width each shard's traces run at: gangs of up to
+	// max(Gang, 1) lanes share one control computation per cycle, with
+	// per-lane energy sampling and transparent width-1 replay for any lane
+	// that diverges. <= 1 runs every trace at width 1. The shard's
 	// accumulator sees the exact same per-trace sample stream in the exact
-	// same order either way, so the verdict is bit-identical for any Gang
-	// value — the knob only changes throughput. <= 1 keeps the scalar path.
+	// same order at every width, so the verdict is bit-identical for any
+	// Gang value — the knob only changes throughput.
 	Gang int
 	// Order selects the statistical order of the test: 1 (or 0, the
 	// default) is the first-order Welch t-test on the means; 2 is the
@@ -159,32 +157,13 @@ type ShardAccum struct {
 	Cycles uint64
 }
 
-// sampleProbe folds each committed cycle's energy inside the window into
-// the current target accumulator. It is rebound to the session worker's
-// meter via sim.PerRunMeterProbes on every run and reused sequentially
-// within a shard — never shared across in-flight jobs.
-type sampleProbe struct {
-	meter      *energy.Probe
-	vec        *Vec
-	start, end uint64
-	filled     int
-}
-
-func (p *sampleProbe) OnCycle(ci cpu.CycleInfo) {
-	if ci.Cycle < p.start || ci.Cycle >= p.end {
-		return
-	}
-	p.vec.Set(int(ci.Cycle-p.start), p.meter.LastPJ())
-	p.filled++
-}
-
 // Assess runs the one-pass fixed-vs-random Welch t-test over cfg.NumTraces
 // simulations drawn from src. Traces are never materialized: each run's
-// energy streams through a per-job probe into its shard's accumulator pair,
-// shards fan out across the worker pool, and the shard accumulators merge
-// in fixed index order — the determinism contract of PR 1 extended to
-// statistics: bit-identical verdicts for any worker count. Equivalent to
-// AssessContext with a background context.
+// window samples land in a reused per-lane buffer and fold into its shard's
+// accumulator pair, shards fan out across the worker pool, and the shard
+// accumulators merge in fixed index order — the batch determinism contract
+// extended to statistics: bit-identical verdicts for any worker count.
+// Equivalent to AssessContext with a background context.
 func Assess(src Source, cfg Config) (*Report, error) {
 	return AssessContext(context.Background(), src, cfg)
 }
@@ -358,70 +337,19 @@ func (p *plan) runShard(ctx context.Context, src Source, s int) (*ShardAccum, er
 	}
 	acc := &ShardAccum{Shard: s, Fixed: NewVecOrder(p.L, p.order), Random: NewVecOrder(p.L, p.order)}
 	lo, hi := ShardRange(s, p.shards, p.cfg.NumTraces)
-	var err error
-	if p.cfg.Gang > 1 {
-		err = p.runGangShard(ctx, src, acc, lo, hi)
-	} else {
-		err = p.runScalarShard(ctx, src, acc, lo, hi)
-	}
-	if err != nil {
+	if err := p.runGangShard(ctx, src, acc, lo, hi); err != nil {
 		return nil, err
 	}
 	return acc, nil
 }
 
-// runScalarShard streams traces [lo, hi) one at a time through a per-run
-// meter probe straight into the shard's accumulators. The probe and its
-// one-element probe slice are allocated once per shard and reused for
-// every trace, so the steady state allocates nothing per trace beyond
-// the job itself.
-func (p *plan) runScalarShard(ctx context.Context, src Source, acc *ShardAccum, lo, hi int) error {
-	probe := &sampleProbe{start: uint64(p.win.Start), end: uint64(p.win.End)}
-	probes := []cpu.Probe{probe}
-	spec := sim.PerRunMeterProbes(func(m *energy.Probe) []cpu.Probe {
-		probe.meter = m
-		return probes
-	})
-	for i := lo; i < hi; i++ {
-		// Cancellation point: an in-flight simulation completes, but no
-		// further trace of this shard starts once the context is done.
-		// The shard's partial accumulators are dropped with the error.
-		if err := ctx.Err(); err != nil {
-			return err
-		}
-		job, err := src.Job(i, p.fixed[i])
-		if err != nil {
-			return fmt.Errorf("leakstat: trace %d: %w", i, err)
-		}
-		job.Trace = false // reduced in-flight; never materialized
-		job.Probe = spec
-		if p.fixed[i] {
-			probe.vec = acc.Fixed
-		} else {
-			probe.vec = acc.Random
-		}
-		probe.vec.BeginTrace()
-		probe.filled = 0
-		res := src.Runner.Run(job)
-		if res.Err != nil {
-			return fmt.Errorf("leakstat: trace %d: %w", i, res.Err)
-		}
-		acc.Cycles += res.Stats.Cycles
-		if probe.filled != p.L {
-			return fmt.Errorf("leakstat: trace %d covered %d/%d window samples — run ended before Window.End=%d",
-				i, probe.filled, p.L, p.win.End)
-		}
-	}
-	return nil
-}
-
-// runGangShard feeds the same trace range through the lockstep engine in
-// gangs of up to cfg.Gang lanes, then folds each lane's window samples
-// into the accumulators in trace-index order — the identical sequence of
-// Vec operations the scalar path performs, so the fold is bit-exact. The
-// sample buffers are allocated once per shard and reused across gangs.
+// runGangShard feeds traces [lo, hi) through the pipeline in gangs of up
+// to max(cfg.Gang, 1) lanes, then folds each lane's window samples into the
+// accumulators in trace-index order — the same sequence of Vec operations
+// at every width, so the fold is bit-exact. The sample buffers are
+// allocated once per shard and reused across gangs.
 func (p *plan) runGangShard(ctx context.Context, src Source, acc *ShardAccum, lo, hi int) error {
-	width := p.cfg.Gang
+	width := max(p.cfg.Gang, 1)
 	if n := hi - lo; width > n {
 		width = n
 	}
@@ -432,6 +360,9 @@ func (p *plan) runGangShard(ctx context.Context, src Source, acc *ShardAccum, lo
 	jobs := make([]sim.Job, 0, width)
 	idx := make([]int, 0, width)
 	for i := lo; i < hi; {
+		// Cancellation point: an in-flight gang completes, but no further
+		// gang of this shard starts once the context is done. The shard's
+		// partial accumulators are dropped with the error.
 		if err := ctx.Err(); err != nil {
 			return err
 		}
@@ -441,9 +372,8 @@ func (p *plan) runGangShard(ctx context.Context, src Source, acc *ShardAccum, lo
 			if err != nil {
 				return fmt.Errorf("leakstat: trace %d: %w", i, err)
 			}
-			// Gang-shape the job exactly as the scalar path does: the
-			// engine owns the observation, so source-provided trace or
-			// probe requests are overridden, never combined.
+			// The engine owns the observation, so source-provided trace
+			// or probe requests are overridden, never combined.
 			job.Trace = false
 			job.Probe = sim.ProbeSpec{}
 			jobs = append(jobs, job)
@@ -457,8 +387,8 @@ func (p *plan) runGangShard(ctx context.Context, src Source, acc *ShardAccum, lo
 				return fmt.Errorf("leakstat: trace %d: %w", ti, res.Err)
 			}
 			acc.Cycles += res.Stats.Cycles
-			// Same coverage contract as the scalar probe's filled count:
-			// the run must commit every cycle of the window.
+			// Coverage contract: the run must commit every cycle of the
+			// window.
 			covered := 0
 			if res.Stats.Cycles > uint64(p.win.Start) {
 				covered = int(res.Stats.Cycles - uint64(p.win.Start))
@@ -475,7 +405,7 @@ func (p *plan) runGangShard(ctx context.Context, src Source, acc *ShardAccum, lo
 				vec = acc.Fixed
 			}
 			// AddTrace performs exactly the BeginTrace + per-sample Set
-			// sequence of the scalar probe, so the fold stays bit-exact.
+			// sequence of a streaming fold, so the fold stays bit-exact.
 			vec.AddTrace(bufs[k][:p.L])
 		}
 	}

@@ -2,99 +2,48 @@ package sim
 
 import (
 	"context"
+	"errors"
 	"sync"
 	"sync/atomic"
 
 	"desmask/internal/cpu"
-	"desmask/internal/energy"
-	"desmask/internal/gang"
 	"desmask/internal/trace"
 )
 
 // Gang-mode session layer: Options.GangWidth > 1 opts a batch into
-// gang-scheduled lockstep execution (internal/gang) for jobs that observe no
-// per-stage pipeline probes. Same-shaped jobs are grouped — before any worker
-// starts, so grouping never depends on worker count or scheduling — into
-// gangs of up to GangWidth lanes sharing one control computation per cycle.
+// gang-scheduled lockstep execution for jobs that attach no probes of their
+// own. Same-shaped jobs are grouped — before any worker starts, so grouping
+// never depends on worker count or scheduling — into gangs of up to
+// GangWidth lanes sharing one control computation per cycle.
 //
 // Exactness contract: a lane either completes in lockstep bit-identical to a
-// scalar run (registers, memory, stats, per-cycle energy observation), or is
-// peeled by the engine's deopt contract and transparently replayed on the
-// unmodified cycle-accurate core. Gang-mode results carry no
-// Stats.Energy/PeakPJ accumulation (replayed lanes are normalized to match),
-// so a result never reveals which path produced it.
+// single run (registers, memory, stats, per-cycle energy observation), or is
+// peeled by the engine's deopt contract and replayed as a width-1 run on the
+// same engine, which cannot diverge and so reproduces the exact result,
+// fault included. Gang-mode results carry no Stats.Energy/PeakPJ
+// accumulation, so a result never reveals which path produced it.
 
 // gangEligible reports whether a job may join a gang: it must attach no extra
-// probes — probes observe per-stage events of a single core, which a gang
-// does not replay. Traced jobs are eligible: the engine records the exact
+// probes — probes observe the stage events of a single run, which a gang
+// does not fire. Traced jobs are eligible: the engine records the exact
 // trace.Recorder observation per lane.
 func (r *Runner) gangEligible(job *Job) bool {
 	return job.Probe.isZero()
 }
 
-// gangEngine returns the worker's gang engine with capacity for at least n
-// lanes, building or widening it on demand. ok=false means the program
-// cannot run in lockstep (engine construction failed — e.g. a non-five-stage
-// target) and the caller must use the scalar path.
-func (r *Runner) gangEngine(w *worker, n int) (*gang.Engine, bool) {
-	if w.gang != nil && w.gang.Width() >= n {
-		return w.gang, true
-	}
-	if w.gangBroken {
-		return nil, false
-	}
-	e, err := gang.New(r.prog, r.cfg, n)
-	if err != nil {
-		w.gangBroken = true
-		return nil, false
-	}
-	w.gang = e
-	return e, true
-}
-
-// winProbe samples committed-cycle energy inside [start, end) into a
-// caller-owned buffer — the scalar-replay equivalent of a gang lane's sample
-// buffer, attached via PerRunMeterProbes so it reads the worker's meter.
-type winProbe struct {
-	meter      *energy.Probe
-	start, end uint64
-	buf        []float64
-}
-
-func (p *winProbe) OnCycle(ci cpu.CycleInfo) {
-	if ci.Cycle < p.start || ci.Cycle >= p.end {
-		return
-	}
-	if i := ci.Cycle - p.start; i < uint64(len(p.buf)) {
-		p.buf[i] = p.meter.LastPJ()
-	}
-}
-
-// replaySampled replays one deopted lane's job on the worker's scalar core,
-// reproducing the gang's windowed energy observation into buf. The result is
-// normalized to the gang result shape (no Energy/PeakPJ totals).
-func (r *Runner) replaySampled(w *worker, job Job, start, end uint64, buf []float64) Result {
-	if buf != nil && end > start {
-		p := &winProbe{start: start, end: end, buf: buf}
-		job.Probe = PerRunMeterProbes(func(m *energy.Probe) []cpu.Probe {
-			p.meter = m
-			return []cpu.Probe{p}
-		})
-	}
-	res := r.runOn(w, job)
-	res.Stats.Energy = energy.CycleEnergy{}
-	res.Stats.PeakPJ = 0
-	return res
-}
+// errGangProbes is the result error of a RunGangSampled job that carries
+// probes.
+var errGangProbes = errors.New("sim: RunGangSampled does not attach job probes; run the job through Run or RunBatch")
 
 // RunGangSampled executes up to GangWidth same-program jobs as one lockstep
 // gang on a pooled worker, sampling each lane's per-cycle energy for cycles
 // [start, end) into the caller-owned bufs[i] (which must hold end-start
 // values; bufs may be nil for no sampling). Results are returned in job
-// order and are bit-identical to scalar runs — lanes the engine cannot
-// complete exactly are replayed on the cycle-accurate core with an
-// equivalent sampling probe. Jobs must be gang-shaped: no Trace, no
-// ProbeSpec (serve those through Run/RunBatch instead).
+// order and are bit-identical to single runs — lanes the gang cannot
+// complete exactly are replayed at width 1 with the same sampling. One job
+// is a width-1 run. Traced jobs are supported (Result.Trace is recorded
+// inline); a job that carries a ProbeSpec is not run and its result carries
+// an error, since a gang fires no stage events.
 //
 // This is the assessment hot path: leakstat feeds fixed-vs-random trace
 // populations through it shard by shard, reusing the sample buffers across
@@ -132,18 +81,33 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 		}
 		return bufs[i]
 	}
-	scalarAll := func() {
-		for i := range jobs {
-			*resAt(i) = r.replaySampled(w, jobs[i], start, end, bufAt(i))
+	// single reruns job i on its own, as a width-1 run.
+	single := func(i int) {
+		sub, subIdxs := results[i:i+1], []int(nil)
+		if idxs != nil {
+			sub, subIdxs = results, idxs[i:i+1]
 		}
+		var b [][]float64
+		if bufs != nil {
+			b = bufs[i : i+1]
+		}
+		r.runGangSampledOn(w, jobs[i:i+1], start, end, b, sub, subIdxs)
 	}
 
 	budget := r.budget(jobs[0])
-	for i := 1; i < n; i++ {
-		if r.budget(jobs[i]) != budget || jobs[i].Trace != jobs[0].Trace {
-			// Mixed-shape group: lockstep needs one shared budget. Callers
-			// group uniformly; fall back rather than guess.
-			scalarAll()
+	for i := range jobs {
+		if !r.gangEligible(&jobs[i]) || r.budget(jobs[i]) != budget || jobs[i].Trace != jobs[0].Trace {
+			// Lockstep needs one shared budget and trace shape, and fires no
+			// stage events. Callers group uniformly, so run each job on its
+			// own rather than guess, and refuse a job with probes rather
+			// than drop them.
+			for i := range jobs {
+				if r.gangEligible(&jobs[i]) {
+					single(i)
+				} else {
+					*resAt(i) = Result{Err: errGangProbes}
+				}
+			}
 			return
 		}
 	}
@@ -175,13 +139,14 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 	}
 	w.gangReps, w.gangLaneOf = reps, laneOf
 
-	e, ok := r.gangEngine(w, len(reps))
-	if !ok || n < 2 {
-		scalarAll()
-		return
+	e, err := w.engine(r, len(reps))
+	if err == nil {
+		err = e.Reset(len(reps))
 	}
-	if err := e.Reset(len(reps)); err != nil {
-		scalarAll()
+	if err != nil {
+		for i := range jobs {
+			*resAt(i) = Result{Err: err}
+		}
 		return
 	}
 	if traced {
@@ -195,9 +160,15 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 	for l, ri := range reps {
 		for _, wr := range jobs[ri].Writes {
 			if err := e.Lane(l).Mem.StoreWord(wr.Addr, wr.Val); err != nil {
-				// A failed poke is a job-setup fault; the scalar path reports
-				// it with exact semantics for every lane.
-				scalarAll()
+				// A failed poke is a job-setup fault, reported per job
+				// exactly as Run reports it.
+				if n == 1 {
+					*resAt(0) = Result{Err: err}
+					return
+				}
+				for i := range jobs {
+					single(i)
+				}
 				return
 			}
 		}
@@ -205,19 +176,29 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 
 	e.Run(budget)
 
+	// Only jobs run in a group of two or more count as lockstep runs or
+	// deopts; a width-1 run (a replay, a singleton) is neither.
+	ganged := n > 1
 	done := e.Halted()
 	for i := range jobs {
 		l := laneOf[i]
-		if lerr := e.LaneErr(l); lerr != nil {
+		res := resAt(i)
+		lerr := e.LaneErr(l)
+		if errors.Is(lerr, cpu.ErrDeopt) {
+			// Replayed below, once every lane's result is read out.
 			r.gangDeopts.Add(1)
-			*resAt(i) = r.replaySampled(w, jobs[i], start, end, bufAt(i))
+			*res = Result{Err: lerr}
 			continue
 		}
-		r.gangRuns.Add(1)
-		res := resAt(i)
-		*res = Result{Done: done, Regs: e.Lane(l).Regs}
+		if ganged {
+			r.gangRuns.Add(1)
+		}
+		*res = Result{Done: done && lerr == nil, Regs: e.Lane(l).Regs, Err: lerr}
 		res.Stats = Stats{Stats: e.Stats()}
 		r.cycles.Add(res.Stats.Cycles)
+		if lerr != nil {
+			continue // a width-1 run's exact fault
+		}
 		if i != reps[l] {
 			// A mirror reproduces its representative's windowed samples.
 			if !traced && end > start {
@@ -225,7 +206,7 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 			}
 		}
 		if !done && jobs[i].RequireHalt {
-			// Scalar semantics for budget expiry under RequireHalt: the
+			// Run's semantics for budget expiry under RequireHalt: the
 			// cycle-limit error, with no trace snapshot or memory read-back.
 			res.Err = &cpu.CycleLimitError{Limit: budget}
 			continue
@@ -247,6 +228,11 @@ func (r *Runner) runGangSampledOn(w *worker, jobs []Job, start, end uint64, bufs
 			res.Mem = append(res.Mem, words)
 		}
 	}
+	for i := range jobs {
+		if errors.Is(resAt(i).Err, cpu.ErrDeopt) {
+			single(i)
+		}
+	}
 }
 
 // writesEqual reports whether two poke sequences are identical.
@@ -264,8 +250,8 @@ func writesEqual(a, b []Write) bool {
 
 // gangUnits groups the batch's parallel jobs into execution units before any
 // worker starts: runs of consecutive gang-eligible jobs with identical shape
-// (budget, trace flag) become gangs of up to width lanes; everything else is
-// a singleton scalar unit. Precomputing the grouping from the job list alone
+// (budget, trace flag) become gangs of up to width lanes; a probe-carrying
+// job is a singleton unit. Precomputing the grouping from the job list alone
 // keeps results bit-identical for any worker count.
 func (r *Runner) gangUnits(jobs []Job, par []int, width int) [][]int {
 	units := make([][]int, 0, (len(par)+width-1)/width)
@@ -299,20 +285,12 @@ func (r *Runner) gangUnits(jobs []Job, par []int, width int) [][]int {
 	return units
 }
 
-// runUnit executes one scheduling unit on a worker: a singleton runs on the
-// scalar path exactly as a gang-free batch would run it; a group runs as a
-// lockstep gang with per-lane deopt replay.
+// runUnit executes one scheduling unit on a worker: a probe-carrying job
+// runs as a width-1 run with its probes attached; a group of probe-free jobs
+// runs as a lockstep gang with per-lane deopt replay.
 func (r *Runner) runUnit(w *worker, jobs []Job, unit []int, results []Result) {
-	if len(unit) == 1 {
-		i := unit[0]
-		if r.gangEligible(&jobs[i]) {
-			// Keep the result shape uniform across the batch: a leftover
-			// singleton from gang grouping still reports like its gang-run
-			// siblings (no Energy/PeakPJ accumulation).
-			results[i] = r.replaySampled(w, jobs[i], 0, 0, nil)
-		} else {
-			results[i] = r.runOn(w, jobs[i])
-		}
+	if i := unit[0]; !r.gangEligible(&jobs[i]) {
+		results[i] = r.runOn(w, jobs[i])
 		return
 	}
 	unitJobs := make([]Job, len(unit))
@@ -323,7 +301,7 @@ func (r *Runner) runUnit(w *worker, jobs []Job, unit []int, results []Result) {
 }
 
 // runParGang fans the batch's parallel jobs across the pool in gang units.
-// It mirrors the scalar fan-out loop of RunBatchContext, pulling whole units
+// It mirrors the per-job fan-out loop of RunBatchContext, pulling whole units
 // so a gang always lands on one worker.
 func (r *Runner) runParGang(ctx context.Context, jobs []Job, par []int, results []Result, opts Options, wg *sync.WaitGroup) {
 	units := r.gangUnits(jobs, par, opts.GangWidth)

@@ -489,3 +489,53 @@ loop:	xor.s $s2, $s0, $s1
 		}
 	}
 }
+
+// TestRunGangSampledRejectsProbes: a gang fires no stage events, so a job
+// that carries probes must not run with its probes silently dropped. Its
+// result carries an error; the job's neighbours still run and sample.
+func TestRunGangSampledRejectsProbes(t *testing.T) {
+	const src = `
+		.data
+in:	.word 0
+		.text
+main:	lw   $t0, in
+loop:	addiu $t0, $t0, -1
+		bgtz $t0, loop
+		halt
+`
+	p, err := asm.Assemble(src)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const start, end = 2, 12
+	fired := 0
+	probe := sim.PerRunProbes(func() []cpu.Probe {
+		return []cpu.Probe{cpu.ProbeFunc(func(cpu.CycleInfo) { fired++ })}
+	})
+	jobs := make([]sim.Job, 4)
+	bufs := make([][]float64, len(jobs))
+	for i := range jobs {
+		jobs[i] = sim.Job{Writes: []sim.Write{{Addr: p.DataBase, Val: uint32(8 + i)}}}
+		bufs[i] = make([]float64, end-start)
+	}
+	jobs[1].Probe = probe
+	r := sim.NewRunner(p, energy.DefaultConfig())
+	results := r.RunGangSampled(jobs, start, end, bufs)
+	for i, res := range results {
+		if i == 1 {
+			if res.Err == nil {
+				t.Errorf("job %d carries probes but ran without them", i)
+			}
+			continue
+		}
+		if res.Err != nil || !res.Done {
+			t.Fatalf("job %d: done=%v err=%v", i, res.Done, res.Err)
+		}
+		if bufs[i][0] == 0 {
+			t.Errorf("job %d: window not sampled", i)
+		}
+	}
+	if fired != 0 {
+		t.Errorf("the rejected job's probe fired %d times", fired)
+	}
+}

@@ -2,13 +2,13 @@
 // cycle-accurate simulator: a Runner owns one compiled program plus one
 // energy configuration and is the single way the rest of the system reaches
 // package cpu. Runner.Run executes one job; Runner.RunBatch fans N
-// independent jobs across a worker pool with per-worker reuse of the CPU,
-// memory and trace buffers, so multi-trace workloads (DPA trace collection,
-// leak-check sweeps, policy comparisons) scale with cores instead of paying
-// per-run wiring and allocation.
+// independent jobs across a worker pool with per-worker reuse of the
+// pipeline engine, energy meter and trace buffers, so multi-trace workloads
+// (DPA trace collection, leak-check sweeps, policy comparisons) scale with
+// cores instead of paying per-run wiring and allocation.
 //
 // Determinism contract: a job's result depends only on the job — every
-// worker starts from an identical power-on core (cpu.Reset), jobs never
+// run starts from identical power-on lanes (cpu.Engine.Reset), jobs never
 // share mutable state, and per-job randomness must be derived with
 // DeriveSeed(base, index), never drawn from a shared stream during the
 // batch. RunBatch therefore returns bit-identical results (traces, energy
@@ -34,9 +34,7 @@ import (
 	"desmask/internal/asm"
 	"desmask/internal/cpu"
 	"desmask/internal/energy"
-	"desmask/internal/gang"
 	"desmask/internal/isa"
-	"desmask/internal/mem"
 	"desmask/internal/trace"
 )
 
@@ -59,8 +57,8 @@ type Read struct {
 }
 
 // Stats joins the core's architectural counters with the energy meter's
-// accumulation for one run. The core itself no longer accounts energy; the
-// session layer attaches the meter probe and merges its totals here.
+// accumulation for one run: the session layer attaches the meter probe to
+// width-1 runs and merges its totals here.
 type Stats struct {
 	cpu.Stats
 	// Energy is the run's accumulated energy, total and per component (pJ).
@@ -231,13 +229,15 @@ func (e *JobError) Unwrap() error { return e.Err }
 type Options struct {
 	// Workers sizes the worker pool; <= 0 uses GOMAXPROCS.
 	Workers int
-	// GangWidth > 1 opts the batch into gang-scheduled lockstep execution:
-	// runs of same-shaped, probe-free jobs are grouped into gangs of up to
-	// GangWidth lanes sharing one fetch/decode/control computation per cycle
-	// (internal/gang), with per-lane deopt replay on the cycle-accurate core.
-	// Results are bit-identical to scalar execution for any width and worker
-	// count, except that gang-mode results carry no Stats.Energy/PeakPJ
-	// accumulation. <= 1 disables gangs.
+	// GangWidth is the lane width of the batch's lockstep gangs. Every job
+	// runs on the one pipeline (cpu.Engine). At GangWidth <= 1 each job is a
+	// width-1 run with the energy probe attached, so its result carries
+	// Stats.Energy/PeakPJ. At GangWidth > 1, runs of same-shaped, probe-free
+	// jobs are grouped into gangs of up to GangWidth lanes sharing one
+	// fetch/decode/control computation per cycle, with per-lane deopt replay
+	// at width 1. Results are bit-identical for any width and worker count,
+	// except that gang-mode results carry no Stats.Energy/PeakPJ
+	// accumulation.
 	GangWidth int
 }
 
@@ -286,8 +286,8 @@ type Runner struct {
 	// cycles counts every simulated cycle the session has executed, for
 	// service observability (leakd's /metrics).
 	cycles atomic.Uint64
-	// gangRuns and gangDeopts count lanes completed in lockstep by the gang
-	// engine and lanes peeled off and replayed on the cycle-accurate core.
+	// gangRuns and gangDeopts count jobs of gangs of two or more completed
+	// in lockstep, and jobs peeled off a gang and replayed at width 1.
 	gangRuns   atomic.Uint64
 	gangDeopts atomic.Uint64
 }
@@ -308,49 +308,64 @@ func (r *Runner) Config() energy.Config { return r.cfg }
 // session since construction, across all runs and batches.
 func (r *Runner) CyclesSimulated() uint64 { return r.cycles.Load() }
 
-// GangRuns returns the number of lanes completed in lockstep by the gang
-// engine since construction.
+// GangRuns returns the number of jobs of gangs of two or more completed in
+// lockstep since construction.
 func (r *Runner) GangRuns() uint64 { return r.gangRuns.Load() }
 
-// GangDeopts returns the number of lanes that entered a gang but were peeled
-// off and replayed on the cycle-accurate core.
+// GangDeopts returns the number of jobs that entered a gang but were peeled
+// off and replayed at width 1.
 func (r *Runner) GangDeopts() uint64 { return r.gangDeopts.Load() }
 
-// Probe attach states of a pooled worker's core, tracked so consecutive jobs
-// with the same observation shape skip the detach/re-attach round trip.
+// Probe attach states of a pooled worker's engine, tracked so consecutive
+// jobs with the same observation shape skip the detach/re-attach round trip.
 const (
-	attachNone     uint8 = iota // fresh worker, nothing attached yet
+	attachNone     uint8 = iota // nothing attached (fresh worker, or a gang ran)
 	attachMeter                 // meter only (untraced, probe-free jobs)
 	attachMeterRec              // meter + trace recorder (traced jobs)
 	attachDirty                 // job-specific probes attached; must rebuild
 )
 
-// worker bundles the per-worker reusable simulator state: the core, its
-// energy meter, a trace recorder reading from that meter, and (created on
-// first use) the gang engine.
+// worker bundles the per-worker reusable simulator state: the engine, the
+// energy meter its width-1 runs attach, and a trace recorder reading from
+// that meter.
 type worker struct {
-	c        *cpu.CPU
+	e        *cpu.Engine // widened on first use by a wider gang
 	meter    *energy.Probe
 	rec      trace.Recorder
 	attached uint8
 
-	gang       *gang.Engine // lockstep engine, built/widened on first gang use
-	gangBroken bool         // construction failed; don't retry per group
-	gangReps   []int        // mirror-grouping scratch: engine lane -> job index
-	gangLaneOf []int        // mirror-grouping scratch: job index -> engine lane
+	gangReps   []int // mirror-grouping scratch: engine lane -> job index
+	gangLaneOf []int // mirror-grouping scratch: job index -> engine lane
 }
 
 func (r *Runner) getWorker() (*worker, error) {
 	if w, ok := r.pool.Get().(*worker); ok {
 		return w, nil
 	}
-	c, err := cpu.New(r.prog, mem.New())
+	e, err := cpu.NewEngine(r.prog, r.cfg, 1)
 	if err != nil {
 		return nil, err
 	}
-	w := &worker{c: c, meter: energy.NewProbeFor(r.cfg, r.prog.TargetOrDefault())}
+	w := &worker{e: e, meter: energy.NewProbeFor(r.cfg, r.prog.TargetOrDefault())}
 	w.rec.Meter = w.meter
 	return w, nil
+}
+
+// engine returns the worker's engine for a gang of n lanes, with no probes
+// attached: gangs meter inline, and a one-lane gang would otherwise fire
+// them. An engine narrower than n is rebuilt at width n.
+func (w *worker) engine(r *Runner, n int) (*cpu.Engine, error) {
+	if w.e.Width() < n {
+		e, err := cpu.NewEngine(r.prog, r.cfg, n)
+		if err != nil {
+			return nil, err
+		}
+		w.e = e
+	} else if w.attached != attachNone {
+		w.e.ClearProbes()
+	}
+	w.attached = attachNone
+	return w.e, nil
 }
 
 // budget returns the effective cycle budget of a job.
@@ -379,16 +394,19 @@ func (r *Runner) reserveHint(budget uint64) int {
 	return hint
 }
 
-// runOn executes one job on a worker. The worker is reset to power-on state
-// first, so results are independent of whatever the worker ran before.
+// runOn executes one job on a worker as a width-1 run with the energy meter
+// attached. The engine is reset to power-on state first, so results are
+// independent of whatever the worker ran before.
 func (r *Runner) runOn(w *worker, job Job) Result {
 	var res Result
-	if err := w.c.Reset(); err != nil {
+	e := w.e
+	if err := e.Reset(1); err != nil {
 		res.Err = err
 		return res
 	}
+	ln := e.Lane(0)
 	for _, wr := range job.Writes {
-		if err := w.c.Mem().StoreWord(wr.Addr, wr.Val); err != nil {
+		if err := ln.Mem.StoreWord(wr.Addr, wr.Val); err != nil {
 			res.Err = err
 			return res
 		}
@@ -407,13 +425,13 @@ func (r *Runner) runOn(w *worker, job Job) Result {
 		want = attachMeterRec
 	}
 	if len(extra) > 0 || w.attached != want {
-		w.c.ClearProbes()
-		w.c.Attach(w.meter)
+		e.ClearProbes()
+		e.Attach(w.meter)
 		if job.Trace {
-			w.c.Attach(&w.rec)
+			e.Attach(&w.rec)
 		}
 		for _, p := range extra {
-			w.c.Attach(p)
+			e.Attach(p)
 		}
 		w.attached = want
 		if len(extra) > 0 {
@@ -425,16 +443,14 @@ func (r *Runner) runOn(w *worker, job Job) Result {
 		w.rec.Reserve(r.reserveHint(budget))
 	}
 
-	runErr := w.c.Run(budget)
+	runErr := e.Run(budget)
 	res.Stats = Stats{
-		Stats:  w.c.Stats(),
+		Stats:  e.Stats(),
 		Energy: w.meter.Total(),
 		PeakPJ: w.meter.PeakPJ(),
 	}
 	r.cycles.Add(res.Stats.Cycles)
-	for reg := isa.Reg(0); reg < isa.NumRegs; reg++ {
-		res.Regs[reg] = w.c.Reg(reg)
-	}
+	res.Regs = ln.Regs
 	switch {
 	case runErr == nil:
 		res.Done = true
@@ -453,7 +469,7 @@ func (r *Runner) runOn(w *worker, job Job) Result {
 		r.traceHint.Store(int64(res.Trace.Len()))
 	}
 	for _, rd := range job.Reads {
-		words, err := w.c.Mem().ReadWords(rd.Addr, rd.Words)
+		words, err := ln.Mem.ReadWords(rd.Addr, rd.Words)
 		if err != nil {
 			res.Err = err
 			return res

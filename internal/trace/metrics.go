@@ -5,12 +5,11 @@ import (
 	"io"
 	"sort"
 
-	"desmask/internal/cpu"
 	"desmask/internal/energy"
 	"desmask/internal/isa"
 )
 
-// Metrics is a cpu.Probe that accumulates pipeline-occupancy statistics and a
+// Metrics is an isa.Probe that accumulates pipeline-occupancy statistics and a
 // per-cycle energy histogram without storing the trace itself: EX-stage
 // micro-op class mix, secure-instruction occupancy, bubble cycles, and the
 // distribution of cycle energies in fixed-width bins. It is the cheap
@@ -46,16 +45,16 @@ func (m *Metrics) bin() float64 {
 	return m.BinPJ
 }
 
-// OnExec implements cpu.ExecObserver.
-func (m *Metrics) OnExec(e cpu.ExecEvent) {
+// OnExec implements isa.ExecObserver.
+func (m *Metrics) OnExec(e isa.ExecEvent) {
 	m.ByClass[e.U.Class]++
 	if e.U.Secure {
 		m.Secure++
 	}
 }
 
-// OnCycle implements cpu.Probe.
-func (m *Metrics) OnCycle(ci cpu.CycleInfo) {
+// OnCycle implements isa.Probe.
+func (m *Metrics) OnCycle(ci isa.CycleInfo) {
 	m.Cycles++
 	if ci.U == nil {
 		m.Bubbles++

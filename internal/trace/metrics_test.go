@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"desmask/internal/cpu"
 	"desmask/internal/energy"
 	"desmask/internal/isa"
 )
@@ -21,13 +20,13 @@ func TestMetricsCounters(t *testing.T) {
 		if i%2 == 0 {
 			u = xor
 		}
-		m.OnExec(cpu.ExecEvent{Cycle: i, U: u})
+		m.OnExec(isa.ExecEvent{Cycle: i, U: u})
 		stepMeter(meter, i, 0xffffffff)
-		m.OnCycle(cpu.CycleInfo{Cycle: i, U: u})
+		m.OnCycle(isa.CycleInfo{Cycle: i, U: u})
 	}
 	// One bubble cycle: no exec event, no micro-op in EX.
 	stepMeter(meter, 4, 0)
-	m.OnCycle(cpu.CycleInfo{Cycle: 4, U: nil})
+	m.OnCycle(isa.CycleInfo{Cycle: 4, U: nil})
 
 	if m.Cycles != 5 || m.Bubbles != 1 {
 		t.Errorf("cycles=%d bubbles=%d, want 5, 1", m.Cycles, m.Bubbles)
@@ -82,7 +81,7 @@ func TestMetricsCounters(t *testing.T) {
 
 func TestMetricsWithoutMeter(t *testing.T) {
 	var m Metrics
-	m.OnCycle(cpu.CycleInfo{Cycle: 0, U: &isa.UOp{}})
+	m.OnCycle(isa.CycleInfo{Cycle: 0, U: &isa.UOp{}})
 	if m.Cycles != 1 || len(m.Hist) != 0 {
 		t.Errorf("meterless metrics = %+v", m)
 	}

@@ -10,8 +10,8 @@ import (
 	"io"
 	"math"
 
-	"desmask/internal/cpu"
 	"desmask/internal/energy"
+	"desmask/internal/isa"
 )
 
 // NoPC marks cycles whose EX stage held a bubble.
@@ -29,7 +29,7 @@ type Trace struct {
 // Len returns the number of recorded cycles.
 func (t *Trace) Len() int { return len(t.Totals) }
 
-// Recorder is a cpu.Probe that appends every cycle to a Trace, reading each
+// Recorder is an isa.Probe that appends every cycle to a Trace, reading each
 // committed cycle's energy from the Meter. Attach the Meter to the CPU before
 // the Recorder so Meter.Last() holds the current cycle when the Recorder runs.
 type Recorder struct {
@@ -74,8 +74,8 @@ func (r *Recorder) Snapshot(withPCs bool) *Trace {
 	return t
 }
 
-// OnCycle implements cpu.Probe.
-func (r *Recorder) OnCycle(ci cpu.CycleInfo) {
+// OnCycle implements isa.Probe.
+func (r *Recorder) OnCycle(ci isa.CycleInfo) {
 	r.T.Totals = append(r.T.Totals, r.Meter.LastPJ())
 	pc := NoPC
 	if ci.U != nil {
@@ -92,8 +92,8 @@ type WindowRecorder struct {
 	T          Trace
 }
 
-// OnCycle implements cpu.Probe.
-func (r *WindowRecorder) OnCycle(ci cpu.CycleInfo) {
+// OnCycle implements isa.Probe.
+func (r *WindowRecorder) OnCycle(ci isa.CycleInfo) {
 	if ci.Cycle < r.Start || ci.Cycle >= r.End {
 		return
 	}

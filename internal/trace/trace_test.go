@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"desmask/internal/cpu"
 	"desmask/internal/energy"
 	"desmask/internal/isa"
 )
@@ -17,9 +16,9 @@ import (
 // a recorder attached after the meter must observe via Meter.Last().
 func stepMeter(meter *energy.Probe, cycle uint64, word uint32) float64 {
 	if word != 0 {
-		meter.OnFetch(cpu.FetchEvent{Cycle: cycle, PC: 0x10, Word: word})
+		meter.OnFetch(isa.FetchEvent{Cycle: cycle, PC: 0x10, Word: word})
 	}
-	meter.OnCycle(cpu.CycleInfo{Cycle: cycle})
+	meter.OnCycle(isa.CycleInfo{Cycle: cycle})
 	return meter.Last().Total
 }
 
@@ -29,9 +28,9 @@ func TestRecorder(t *testing.T) {
 	u := &isa.UOp{PC: 0x10}
 
 	want0 := stepMeter(meter, 0, 0xffffffff)
-	r.OnCycle(cpu.CycleInfo{Cycle: 0, U: u})
+	r.OnCycle(isa.CycleInfo{Cycle: 0, U: u})
 	stepMeter(meter, 1, 0)
-	r.OnCycle(cpu.CycleInfo{Cycle: 1, U: nil})
+	r.OnCycle(isa.CycleInfo{Cycle: 1, U: nil})
 
 	if r.T.Len() != 2 {
 		t.Fatalf("len = %d", r.T.Len())
@@ -55,7 +54,7 @@ func TestWindowRecorder(t *testing.T) {
 		// Alternate fetch words so consecutive cycles have distinct energies.
 		want[i] = stepMeter(meter, i, uint32(0x0f0f0f0f<<(i%2)))
 		u := &isa.UOp{PC: uint32(i * 4)}
-		r.OnCycle(cpu.CycleInfo{Cycle: i, U: u})
+		r.OnCycle(isa.CycleInfo{Cycle: i, U: u})
 	}
 	if r.T.Len() != 2 {
 		t.Fatalf("len = %d, want 2", r.T.Len())
